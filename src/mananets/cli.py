@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from .documents import (NetDocument, emit_json, graph_to_json_dict,
+from .documents import (NetDocument, emit_graph_json, emit_json,
                         parse_document, state_to_json_dict)
 from .dot import export_dot
 from .equivalence import (check_equivalence, internalize, mana_net_from_built,
@@ -96,7 +96,7 @@ def cmd_run(doc: NetDocument, args) -> int:
 def cmd_reach(doc: NetDocument, args) -> int:
     initial = doc.marking if doc.marking is not None else EMPTY
     graph = reach(doc.net, initial, args.depth, args.max_tokens)
-    _emit(_dump(graph_to_json_dict(graph)), args.output)
+    _emit(emit_graph_json(graph), args.output)
     return OK
 
 

@@ -49,8 +49,8 @@ class NetDocument:
 def parse_json(data: str | bytes) -> NetDocument:
     """Parse and cross-check a JSON net document.
 
-    Unknown keys, non-positive counts and references to undeclared
-    symbols are rejected with the JSON path of the offence.
+    Unknown or repeated keys, non-positive counts and references to
+    undeclared symbols are rejected with the JSON path of the offence.
     """
     if isinstance(data, bytes):
         try:
@@ -58,12 +58,13 @@ def parse_json(data: str | bytes) -> NetDocument:
         except UnicodeDecodeError as err:
             raise DocumentError(f"document is not valid UTF-8: {err}") from err
     try:
-        raw = json.loads(data)
+        raw = json.loads(data, object_pairs_hook=_JsonObject.of_pairs)
     except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON: {err.msg}",
                             line=err.lineno, col=err.colno) from err
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", path="$")
+    _check_unique(raw, "$")
     for key in raw:
         if key not in _TOP_KEYS:
             raise DocumentError(f"unknown key {key!r}", path=f"$.{key}")
@@ -88,6 +89,28 @@ def parse_json(data: str | bytes) -> NetDocument:
     return NetDocument(net, policy, marking, pool)
 
 
+class _JsonObject(dict):
+    """A parsed JSON object that remembers the first key given twice."""
+
+    repeated: str | None = None
+
+    @classmethod
+    def of_pairs(cls, pairs) -> _JsonObject:
+        obj = cls()
+        for key, value in pairs:
+            if key in obj and obj.repeated is None:
+                obj.repeated = key
+            obj[key] = value
+        return obj
+
+
+def _check_unique(raw: dict, path: str):
+    # Defaults such as a missing produce map are plain dicts.
+    repeated = getattr(raw, "repeated", None)
+    if repeated is not None:
+        raise DocumentError(f"duplicate key {repeated!r}", path=f"{path}.{repeated}")
+
+
 def _parse_places(raw) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
         raise DocumentError("'places' must be a list of strings", path="$.places")
@@ -102,6 +125,7 @@ def _parse_places(raw) -> tuple[str, ...]:
 def _parse_transitions(raw):
     if not isinstance(raw, dict):
         raise DocumentError("'transitions' must be an object", path="$.transitions")
+    _check_unique(raw, "$.transitions")
     names = tuple(raw)
     pre = {}
     post = {}
@@ -109,6 +133,7 @@ def _parse_transitions(raw):
         path = f"$.transitions.{name}"
         if not isinstance(body, dict):
             raise DocumentError("transition must be an object", path=path)
+        _check_unique(body, path)
         for key in body:
             if key not in _TRANSITION_KEYS:
                 raise DocumentError(f"unknown key {key!r}", path=f"{path}.{key}")
@@ -123,6 +148,7 @@ def _parse_transitions(raw):
 def _parse_multiset(raw, path: str) -> Multiset:
     if not isinstance(raw, dict):
         raise DocumentError("multiset must be an object", path=path)
+    _check_unique(raw, path)
     counts = {}
     for symbol, count in raw.items():
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
@@ -141,6 +167,7 @@ def _check_support(m: Multiset, declared: set[str], path: str, what: str):
 def _parse_mana(raw, net: Net) -> ManaPolicy:
     if not isinstance(raw, dict):
         raise DocumentError("'mana' must be an object", path="$.mana")
+    _check_unique(raw, "$.mana")
     declared = set(net.transitions)
     entries = {}
     for name, body in raw.items():
@@ -149,6 +176,7 @@ def _parse_mana(raw, net: Net) -> ManaPolicy:
             raise DocumentError(f"unknown transition {name!r}", path=path)
         if not isinstance(body, dict):
             raise DocumentError("mana entry must be an object", path=path)
+        _check_unique(body, path)
         for key in body:
             if key not in _MANA_KEYS:
                 raise DocumentError(f"unknown key {key!r}", path=f"{path}.{key}")
@@ -428,3 +456,74 @@ def graph_to_json_dict(graph: ReachGraph) -> dict:
         "token_bound": graph.token_bound,
         "truncated": graph.truncated,
     }
+
+
+def emit_graph_json(graph: ReachGraph) -> str:
+    """Canonical JSON text of :func:`graph_to_json_dict`, written directly.
+
+    The text is exactly ``json.dumps(graph_to_json_dict(graph),
+    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``. With an
+    indent, ``json.dumps`` runs its pure-Python encoder, which dominates
+    the time of a large ``reach``; this writer only joins strings.
+    Edges are expected to hold the node objects of ``graph.nodes``, as
+    :func:`~mananets.execution.reach` and
+    :func:`~mananets.external.mana_reach` build them; otherwise nodes are
+    found by equality, as in :func:`graph_to_json_dict`.
+    """
+    names = _JsonStrings()
+    position = {id(node): str(i) for i, node in enumerate(graph.nodes)}
+
+    def edge_texts() -> list[str]:
+        return [f"[\n      {position[id(s)]},\n      {names[label]},\n      {position[id(d)]}\n    ]"
+                for s, label, d in graph.edges]
+
+    try:
+        edges = edge_texts()
+        root = position[id(graph.root)]
+    except KeyError:
+        index = {node: str(i) for i, node in enumerate(graph.nodes)}
+        ends = [graph.root, *(node for s, _, d in graph.edges for node in (s, d))]
+        position.update((id(node), index[node]) for node in ends)
+        edges = edge_texts()
+        root = position[id(graph.root)]
+
+    def counts(m: Multiset, indent: str) -> str:
+        if not m:
+            return "{}"
+        inner = ",\n" + indent + "  "
+        entries = inner.join([f"{names[symbol]}: {count}" for symbol, count in m.items()])
+        return "{" + inner[1:] + entries + "\n" + indent + "}"
+
+    def node(value) -> str:
+        if isinstance(value, ManaState):
+            return ('{\n      "marking": ' + counts(value.marking, "      ")
+                    + ',\n      "pool": ' + counts(value.pool, "      ") + "\n    }")
+        return counts(value, "    ")
+
+    return "".join((
+        '{\n  "depth_bound": ', _json_scalar(graph.depth_bound),
+        ',\n  "edges": ', _json_list(edges),
+        ',\n  "nodes": ', _json_list([node(value) for value in graph.nodes]),
+        ',\n  "root": ', root,
+        ',\n  "token_bound": ', _json_scalar(graph.token_bound),
+        ',\n  "truncated": ', _json_scalar(graph.truncated),
+        "\n}\n"))
+
+
+class _JsonStrings(dict):
+    """JSON string literals, each encoded once on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.encoder.encode_basestring(text)
+        return literal
+
+
+def _json_scalar(value) -> str:
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level member list whose items are already indented texts."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeViolationError
-from .execution import reach
-from .external import ManaState, mana_reach
+from .execution import TokenGame, explore
+from .external import ManaGame, ManaState
 from .internal import (ManaNet, ManaPolicy, generalized_internal_construction,
                        mana_place_name)
 from .multiset import Multiset
@@ -126,19 +126,23 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
 
     Both graphs are explored to the same bounds; the external one is then
     mapped through :func:`state_to_object` and must match the internal
-    one node for node and edge for edge (labels included).
+    one node for node and edge for edge (labels included). Both sides run
+    on count vectors, and the map is a fixed one from external
+    coordinates to built-net coordinates: pool coordinate ``t`` goes to
+    the mana place of ``t``.
     """
     mn = internalize(net, policy)
-    ext = mana_reach(net, policy, initial, depth_bound, token_bound)
-    internal = reach(mn.built, state_to_object(mn, initial), depth_bound, token_bound)
+    ext_game = ManaGame(net, policy, initial)
+    ext = explore(ext_game, ext_game.vector(initial),
+                  depth_bound=depth_bound, token_bound=token_bound)
+    root = state_to_object(mn, initial)
+    int_game = TokenGame(mn.built, root)
+    internal = explore(int_game, int_game.vector(root),
+                       depth_bound=depth_bound, token_bound=token_bound)
 
-    mapped_nodes = {state_to_object(mn, s) for s in ext.nodes}
-    mapped_edges = {(state_to_object(mn, s), label, state_to_object(mn, d))
-                    for s, label, d in ext.edges}
-    int_nodes = set(internal.nodes)
-    int_edges = set(internal.edges)
-
-    discrepancy = _first_discrepancy(mapped_nodes, int_nodes, mapped_edges, int_edges)
+    lay_out = _layout(mn, ext_game, int_game)
+    mapped = [lay_out(v) for v in ext.nodes]
+    discrepancy = _first_discrepancy(int_game, mapped, ext.edges, internal)
     return EquivalenceReport(
         isomorphic=discrepancy is None,
         ext_nodes=len(ext.nodes),
@@ -149,21 +153,48 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     )
 
 
-def _first_discrepancy(ext_nodes, int_nodes, ext_edges, int_edges) -> dict | None:
-    def marking_json(m: Multiset) -> dict:
-        return m.as_dict()
+def _layout(mn: ManaNet, ext_game: ManaGame, int_game: TokenGame):
+    """:func:`state_to_object` as a map from external to built-net vectors.
 
-    def edge_json(edge) -> list:
-        return [edge[0].as_dict(), edge[1], edge[2].as_dict()]
+    A marking symbol named like a mana place makes two external
+    coordinates share one built-net place; states are then mapped
+    through :func:`state_to_object` itself.
+    """
+    split = ext_game.split
+    source: list[int | None] = [None] * len(int_game.symbols)
+    for i, symbol in enumerate(ext_game.symbols):
+        j = int_game.position(symbol if i < split else mn.mana_place_of[symbol])
+        if source[j] is not None:
+            return lambda v: int_game.vector(state_to_object(mn, ext_game.state(v)))
+        source[j] = i
+    return lambda v: tuple([0 if i is None else v[i] for i in source])
 
-    for side, extra in (("external-only", ext_nodes - int_nodes),
-                        ("internal-only", int_nodes - ext_nodes)):
+
+def _first_discrepancy(game: TokenGame, ext_nodes: list, ext_edges, internal) -> dict | None:
+    """The least node, else the least edge, found on one side only.
+
+    `ext_nodes` are the external states already laid out on the built
+    net, in the external graph's order, so that the external edges can
+    refer to them by position.
+    """
+    ext_set = set(ext_nodes)
+    int_set = set(internal.nodes)
+    for side, extra in (("external-only", ext_set - int_set),
+                        ("internal-only", int_set - ext_set)):
         if extra:
-            first = min(extra, key=lambda m: m.sort_key())
-            return {"kind": "node", "side": side, "value": marking_json(first)}
-    for side, extra in (("external-only", ext_edges - int_edges),
-                        ("internal-only", int_edges - ext_edges)):
+            first = min((game.state(v) for v in extra), key=Multiset.sort_key)
+            return {"kind": "node", "side": side, "value": first.as_dict()}
+
+    position = {v: k for k, v in enumerate(internal.nodes)}
+    ext_arcs = {(position[ext_nodes[s]], label, position[ext_nodes[d]])
+                for s, label, d in ext_edges}
+    int_arcs = set(internal.edges)
+    for side, extra in (("external-only", ext_arcs - int_arcs),
+                        ("internal-only", int_arcs - ext_arcs)):
         if extra:
-            first = min(extra, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
-            return {"kind": "edge", "side": side, "value": edge_json(first)}
+            edges = [(game.state(internal.nodes[s]), label, game.state(internal.nodes[d]))
+                     for s, label, d in extra]
+            first = min(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
+            return {"kind": "edge", "side": side,
+                    "value": [first[0].as_dict(), first[1], first[2].as_dict()]}
     return None

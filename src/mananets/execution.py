@@ -5,18 +5,26 @@ of a net. A :class:`Trace` (an initial marking plus a firing sequence)
 stands for one execution of the net; two traces that differ only in the
 order of independent firings describe the same execution, which is what
 :func:`trace_equivalent` decides up to a search bound.
+
+Bounded reachability runs on the net compiled once into its incidence
+form (a :class:`TokenGame`): every symbol that can occur gets a
+coordinate, and every transition becomes the counts it needs and the
+changes it makes. :func:`explore` then searches over plain tuples of
+counts, and ``Multiset`` values are built only at the API boundary,
+once per node of the result. The mana game of :mod:`mananets.external`
+appends the pool as a second segment of the same vector, so
+:func:`reach`, :func:`~mananets.external.mana_reach` and both sides of
+:func:`~mananets.equivalence.check_equivalence` share this one kernel.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
-from typing import TypeVar
 
 from .errors import NotEnabledError, UnknownSymbolError
-from .multiset import Multiset
+from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
 
 #: Markings are plain multisets over a net's places.
@@ -147,7 +155,8 @@ def trace_equivalent(t1: Trace, t2: Trace,
 
 # -- bounded reachability ---------------------------------------------------
 
-State = TypeVar("State", bound=Hashable)
+#: Stands in for a zero count in a vector sort key: above every stored count.
+_ABSENT = COUNT_MAX + 1
 
 
 @dataclass(frozen=True)
@@ -166,58 +175,220 @@ class ReachGraph:
     truncated: bool
 
 
-def explore(root: State,
-            successors: Callable[[State], Iterable[tuple[str, State]]],
-            *,
-            size: Callable[[State], int],
-            key: Callable[[State], object],
-            depth_bound: int,
-            token_bound: int) -> ReachGraph:
-    """Breadth-first closure of a labelled successor relation.
+def _segment_key(counts) -> tuple:
+    """Order count vectors over sorted symbols as ``Multiset.sort_key`` orders them.
 
-    Nodes deeper than `depth_bound` are not expanded and successors whose
-    `size` exceeds `token_bound` are discarded; either event marks the
-    graph as truncated.
+    A zero count means the multiset's next entry has a larger symbol, so
+    it sorts above any count; a multiset that ends early is a prefix, so
+    trailing zeros are dropped.
     """
+    key = [c or _ABSENT for c in counts]
+    while key and key[-1] is _ABSENT:
+        key.pop()
+    return tuple(key)
+
+
+class TokenGame:
+    """The plain token game of a net, compiled once into count vectors.
+
+    A state is a tuple with one count per symbol of `symbols`, in sorted
+    order: the net's places, the symbols its arcs mention and those of
+    the initial marking. Each transition, in name order, becomes a step
+    ``(label, pre, delta, growth, exact)``: the (coordinate, count)
+    pairs a state must cover, the nonzero (coordinate, change) pairs of
+    a firing and the firing's change in size. A step marked `exact`
+    (its arcs are not plain multisets) and any firing whose result could
+    hold a count above ``COUNT_MAX`` run through :meth:`successor` on
+    ``Multiset`` values instead, raising what that raises.
+    """
+
+    def __init__(self, net: Net, marking: Multiset):
+        self.net = net
+        self._compile(marking.support(), ())
+
+    def _compile(self, marking_symbols, pool_symbols):
+        """Lay out the coordinates, marking then pool, and compile each transition."""
+        net = self.net
+        labels = sorted(set(net.transitions))
+        places = set(net.places) | set(marking_symbols)
+        for t in labels:
+            for arcs in (net.pre.get(t), net.post.get(t)):
+                if isinstance(arcs, Multiset):
+                    places.update(arcs.support())
+        places = sorted(places)
+        self.split = len(places)
+        self.symbols = (*places, *pool_symbols)
+        self._places = {s: i for i, s in enumerate(places)}
+        self._pool = {s: self.split + i for i, s in enumerate(pool_symbols)}
+        self.steps = []
+        for t in labels:
+            pre, post = net.pre.get(t), net.post.get(t)
+            pool_arcs = self._pool_arcs(t)
+            if isinstance(pre, Multiset) and isinstance(post, Multiset) and pool_arcs:
+                self.steps.append(self._step(t, pre, post, *pool_arcs))
+            else:
+                self.steps.append((t, (), (), 0, True))
+
+    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset] | None:
+        """What a firing takes from and adds to the pool; None makes it exact."""
+        return EMPTY, EMPTY
+
+    def _step(self, label: str, pre: Multiset, post: Multiset,
+              use: Multiset, gain: Multiset) -> tuple:
+        need = {self._places[s]: c for s, c in pre.items()}
+        need.update((self._pool[s], c) for s, c in use.items())
+        change = {i: -c for i, c in need.items()}
+        for side, position in ((post, self._places), (gain, self._pool)):
+            for s, c in side.items():
+                change[position[s]] = change.get(position[s], 0) + c
+        delta = tuple(sorted((i, d) for i, d in change.items() if d))
+        return (label, tuple(sorted(need.items())), delta, sum(change.values()), False)
+
+    def position(self, symbol: str) -> int:
+        """The coordinate of a marking symbol."""
+        return self._places[symbol]
+
+    def _vector(self, marking: Multiset, pool: Multiset = EMPTY) -> tuple:
+        counts = [0] * len(self.symbols)
+        for s, c in marking.items():
+            counts[self._places[s]] = c
+        for s, c in pool.items():
+            counts[self._pool[s]] = c
+        return tuple(counts)
+
+    def _multiset(self, vector, start: int, stop: int) -> Multiset:
+        return _wrap({s: c for s, c in zip(self.symbols[start:stop], vector[start:stop])
+                      if c})
+
+    def vector(self, state: Multiset) -> tuple:
+        return self._vector(state)
+
+    def state(self, vector) -> Multiset:
+        return self._multiset(vector, 0, self.split)
+
+    def key(self, vector) -> tuple:
+        return _segment_key(vector)
+
+    def successor(self, marking: Multiset, label: str) -> Multiset | None:
+        """One firing on ``Multiset`` values; None when it is not enabled."""
+        rest = marking.minus(self.net.pre[label])
+        return None if rest is None else rest + self.net.post[label]
+
+    def fire_exact(self, vector, label: str):
+        nxt = self.successor(self.state(vector), label)
+        return None if nxt is None else self.vector(nxt)
+
+    def can_fire(self, vector, size: int) -> bool:
+        """Whether any step is enabled, computing the first firing as the BFS would."""
+        for label, pre, _, growth, exact in self.steps:
+            for i, need in pre:
+                if vector[i] < need:
+                    break
+            else:
+                if (not exact and size + growth <= COUNT_MAX
+                        or self.fire_exact(vector, label) is not None):
+                    return True
+        return False
+
+    def reach(self, root, depth_bound: int, token_bound: int) -> ReachGraph:
+        """Explore from the `root` state; each node becomes an API value once."""
+        graph = explore(self, self.vector(root),
+                        depth_bound=depth_bound, token_bound=token_bound)
+        nodes = [self.state(v) for v in graph.nodes]
+        nodes[graph.root] = root
+        edges = [(nodes[s], label, nodes[d]) for s, label, d in graph.edges]
+        return ReachGraph(root, tuple(nodes), tuple(edges), depth_bound, token_bound,
+                          graph.truncated)
+
+
+class VectorGraph:
+    """The states :func:`explore` found, sorted, and the firings between them.
+
+    `root` is the position of the root in `nodes`. Edges are
+    ``(source, label, target)`` triples of positions in `nodes`, sorted
+    by source, then label. It is a plain class because a frozen
+    dataclass generates and compiles its methods at import time.
+    """
+
+    __slots__ = ("root", "nodes", "edges", "truncated")
+
+    def __init__(self, root: int, nodes: tuple, edges: tuple, truncated: bool):
+        self.root = root
+        self.nodes = nodes
+        self.edges = edges
+        self.truncated = truncated
+
+
+def explore(game: TokenGame, root: tuple, *, depth_bound: int,
+            token_bound: int) -> VectorGraph:
+    """Breadth-first closure of the game's firings from the `root` vector.
+
+    States at depth `depth_bound`, or larger than `token_bound`, are not
+    expanded, and successors larger than `token_bound` are dropped; a cut
+    that hides a firing marks the graph as truncated. The search runs
+    level by level, in the order a FIFO queue would, so that a firing
+    that raises does so at the same point as on ``Multiset`` values.
+    """
+    steps = game.steps
+    index = {root: 0}
+    states = [root]
+    sizes = [sum(root)]
+    out: list = [()]
     truncated = False
-    depth = {root: 0}
-    nodes = {root}
-    edges: set[tuple] = set()
-    queue: deque[State] = deque([root])
-    while queue:
-        state = queue.popleft()
-        if depth[state] >= depth_bound or size(state) > token_bound:
-            if any(True for _ in successors(state)):
-                truncated = True
-            continue
-        for label, nxt in successors(state):
-            if size(nxt) > token_bound:
-                truncated = True
+    frontier = [0]
+    depth = 0
+    while frontier:
+        level = []
+        for s in frontier:
+            state = states[s]
+            size = sizes[s]
+            if depth >= depth_bound or size > token_bound:
+                if game.can_fire(state, size):
+                    truncated = True
                 continue
-            edges.add((state, label, nxt))
-            if nxt not in nodes:
-                nodes.add(nxt)
-                depth[nxt] = depth[state] + 1
-                queue.append(nxt)
-    sorted_nodes = tuple(sorted(nodes, key=key))
-    sorted_edges = tuple(sorted(edges, key=lambda e: (key(e[0]), e[1], key(e[2]))))
-    return ReachGraph(root, sorted_nodes, sorted_edges, depth_bound, token_bound, truncated)
+            edges = []
+            for label, pre, delta, growth, exact in steps:
+                for i, need in pre:
+                    if state[i] < need:
+                        break
+                else:
+                    nxt_size = size + growth
+                    if exact or nxt_size > COUNT_MAX:
+                        nxt = game.fire_exact(state, label)
+                        if nxt is None:
+                            continue
+                        nxt_size = sum(nxt)
+                    else:
+                        counts = list(state)
+                        for i, d in delta:
+                            counts[i] += d
+                        nxt = tuple(counts)
+                    if nxt_size > token_bound:
+                        truncated = True
+                        continue
+                    j = index.setdefault(nxt, len(states))
+                    if j == len(states):
+                        states.append(nxt)
+                        sizes.append(nxt_size)
+                        out.append(())
+                        level.append(j)
+                    edges.append((label, j))
+            out[s] = edges
+        frontier = level
+        depth += 1
+
+    keys = [game.key(v) for v in states]
+    order = sorted(range(len(states)), key=keys.__getitem__)
+    rank = [0] * len(states)
+    for r, s in enumerate(order):
+        rank[s] = r
+    edges = [(r, label, rank[j]) for r, s in enumerate(order) for label, j in out[s]]
+    return VectorGraph(rank[0], tuple([states[s] for s in order]), tuple(edges), truncated)
 
 
 def reach(net: Net, initial: Multiset, depth_bound: int, token_bound: int) -> ReachGraph:
     """Bounded reachability of the plain token game from `initial`."""
-
-    def successors(marking: Multiset):
-        for transition in sorted(net.transitions):
-            rest = marking.minus(net.pre[transition])
-            if rest is not None:
-                yield transition, rest + net.post[transition]
-
-    return explore(initial, successors,
-                   size=lambda m: m.total(),
-                   key=lambda m: m.sort_key(),
-                   depth_bound=depth_bound,
-                   token_bound=token_bound)
+    return TokenGame(net, initial).reach(initial, depth_bound, token_bound)
 
 
 def simulate(net: Net, initial: Multiset, max_steps: int,

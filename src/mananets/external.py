@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotManaEnabledError, UnknownSymbolError
-from .execution import ReachGraph, Trace, enabled, explore, fire, replay
+from .execution import (ReachGraph, TokenGame, Trace, _segment_key, enabled, fire,
+                        replay)
 from .internal import ManaPolicy
 from .multiset import EMPTY, Multiset
 from .net import Net
@@ -101,20 +102,53 @@ def mana_fire(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -
     return ManaState(fire(net, state.marking, transition), pool)
 
 
+class ManaGame(TokenGame):
+    """The mana token game, compiled into count vectors.
+
+    A state vector is the marking, over the symbols of the plain game,
+    followed by the pool, over the transitions and any other symbol the
+    policy's produce maps or the initial pool mention. A firing of ``t``
+    needs its pre-set and ``consume(t)`` units of ``t``'s pool, and adds
+    its post-set and ``produce(t)``. Entries the policy lacks, or holds in
+    another form, make the step exact: it runs :func:`mana_enabled` and
+    :func:`mana_fire` on every visit.
+    """
+
+    def __init__(self, net: Net, policy: ManaPolicy, initial: ManaState):
+        self.net = net
+        self.policy = policy
+        pool = set(net.transitions) | set(initial.pool.support())
+        for t in net.transitions:
+            if isinstance(policy.produce.get(t), Multiset):
+                pool.update(policy.produce[t].support())
+        self._compile(initial.marking.support(), sorted(pool))
+
+    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset] | None:
+        consume, produce = self.policy.consume.get(label), self.policy.produce.get(label)
+        if type(consume) is int and consume >= 0 and isinstance(produce, Multiset):
+            return Multiset({label: consume}), produce
+        return None
+
+    def vector(self, state: ManaState) -> tuple:
+        return self._vector(state.marking, state.pool)
+
+    def state(self, vector) -> ManaState:
+        return ManaState(self._multiset(vector, 0, self.split),
+                         self._multiset(vector, self.split, len(self.symbols)))
+
+    def key(self, vector) -> tuple:
+        return (_segment_key(vector[:self.split]), _segment_key(vector[self.split:]))
+
+    def successor(self, state: ManaState, label: str) -> ManaState | None:
+        if not mana_enabled(self.net, self.policy, state, label):
+            return None
+        return mana_fire(self.net, self.policy, state, label)
+
+
 def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,
                depth_bound: int, token_bound: int) -> ReachGraph:
     """Bounded reachability of the mana token game from `initial`."""
-
-    def successors(state: ManaState):
-        for transition in sorted(net.transitions):
-            if mana_enabled(net, policy, state, transition):
-                yield transition, mana_fire(net, policy, state, transition)
-
-    return explore(initial, successors,
-                   size=lambda s: s.size(),
-                   key=lambda s: s.sort_key(),
-                   depth_bound=depth_bound,
-                   token_bound=token_bound)
+    return ManaGame(net, policy, initial).reach(initial, depth_bound, token_bound)
 
 
 def mana_simulate(net: Net, policy: ManaPolicy, initial: ManaState, max_steps: int,

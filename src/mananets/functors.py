@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, occurrence_multiset, run_trace, trace_equivalent
+from .execution import Trace, run_trace, trace_equivalent
 from .multiset import Multiset
 from .net import Net, NetMorphism, Violation, lift_multiset_map, validate_net
 
@@ -119,11 +119,6 @@ def validate_functor(functor: PresentedFunctor) -> list[Violation]:
         elif run_trace(image) != apply_functor_to_marking(functor, functor.source.post[t]):
             out.append(Violation("endpoint-mismatch", t, "target marking"))
     return out
-
-
-def lifted_occurrences(functor: PresentedFunctor, transition: str) -> Multiset:
-    """Occurrence multiset of a transition's image trace."""
-    return occurrence_multiset(functor.morphism_map[transition])
 
 
 def compare_functors(left: PresentedFunctor, right: PresentedFunctor,

@@ -81,9 +81,6 @@ class ManaPolicy:
         return (all(c == 1 for c in self.consume.values())
                 and not any(self.produce.values()))
 
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.consume)
-
 
 def validate_policy(net: Net, policy: ManaPolicy) -> list[str]:
     """Problems that make the policy unusable with the net, as messages."""

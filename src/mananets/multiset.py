@@ -53,12 +53,7 @@ class Multiset:
                     raise CountOverflowError(symbol, total)
                 counts[symbol] = total
         self._entries = counts
-        self._hash = hash(frozenset(counts.items()))
-
-    @classmethod
-    def of(cls, **counts: int) -> Multiset:
-        """Literal constructor: ``Multiset.of(ATP=2, H2O=1)``."""
-        return cls(counts)
+        self._hash = None
 
     @classmethod
     def sum(cls, parts: Iterable[Multiset]) -> Multiset:
@@ -177,6 +172,8 @@ class Multiset:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._entries.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -187,7 +184,7 @@ def _wrap(counts: dict[str, int]) -> Multiset:
     # Internal fast path: counts are already canonical (no zeros, bounded).
     ms = object.__new__(Multiset)
     ms._entries = counts
-    ms._hash = hash(frozenset(counts.items()))
+    ms._hash = None
     return ms
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .execution import Trace, fire
+from .execution import Trace, simulate
 from .external import ManaState
 from .internal import ManaPolicy
 from .multiset import EMPTY, Multiset
@@ -60,16 +60,7 @@ def random_state(rng: random.Random, net: Net, max_tokens: int = 3,
 def random_trace(rng: random.Random, net: Net, initial: Multiset,
                  max_steps: int = 6) -> Trace:
     """A random walk through enabled transitions, possibly shorter than asked."""
-    marking = initial
-    steps: list[str] = []
-    for _ in range(rng.randint(0, max_steps)):
-        candidates = [t for t in sorted(net.transitions) if net.pre[t] <= marking]
-        if not candidates:
-            break
-        choice = rng.choice(candidates)
-        marking = fire(net, marking, choice)
-        steps.append(choice)
-    return Trace(net, initial, tuple(steps))
+    return simulate(net, initial, rng.randint(0, max_steps), rng)
 
 
 def random_net_morphism(rng: random.Random, source: Net) -> NetMorphism:

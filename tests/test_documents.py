@@ -231,3 +231,28 @@ def test_emit_skips_absent_sections(abc_net):
 def test_emit_includes_policy(abc_net):
     text = emit_json(NetDocument(abc_net, ManaPolicy.plain(abc_net)))
     assert '"mana"' in text and '"consume": 1' in text
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"places": [], "places": [], "transitions": {}}', "$.places"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "post": {}}, '
+     '"u": {"pre": {"A": 1}, "post": {}}}}', "$.transitions.u"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "pre": {}, "post": {}}}}',
+     "$.transitions.u.pre"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {"A": 1, "A": 2}, "post": {}}}}',
+     "$.transitions.u.pre.A"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "post": {}}}, '
+     '"mana": {"u": {"consume": 1}, "u": {"consume": 2}}}', "$.mana.u"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "post": {}}}, '
+     '"mana": {"u": {"consume": 1, "consume": 2}}}', "$.mana.u.consume"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "post": {}}}, '
+     '"mana": {"u": {"produce": {"u": 1, "u": 1}}}}', "$.mana.u.produce.u"),
+    ('{"places": ["A"], "transitions": {}, "marking": {"A": 1, "A": 3}}', "$.marking.A"),
+    ('{"places": ["A"], "transitions": {"u": {"pre": {}, "post": {}}}, '
+     '"pool": {"u": 1, "u": 2}}', "$.pool.u"),
+])
+def test_duplicate_keys_rejected_with_path(text, path):
+    with pytest.raises(DocumentError) as err:
+        parse_json(text)
+    assert err.value.path == path
+    assert "duplicate key" in err.value.message

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mananets import (EMPTY, ManaPolicy, ManaState, Multiset, Net,
+from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, Net,
                       ShapeViolationError, check_equivalence, enabled,
                       externalize, internal_construction, internalize,
                       mana_enabled, mana_net_from_built, object_to_state,
                       state_to_object)
+from mananets import equivalence
 from mananets.sampling import random_net, random_policy, random_state
 
 
@@ -150,6 +151,27 @@ def test_check_equivalence_empty_pool(abc_net, ms):
     assert report.isomorphic
     assert report.ext_nodes == report.int_nodes == 1
     assert report.ext_edges == report.int_edges == 0
+
+
+def test_check_equivalence_catches_a_faulty_construction(monkeypatch, loop_net, loop_policy,
+                                                         ms):
+    """Dropping u4's feed of u3's mana from the built net must not go unseen."""
+    sound = equivalence.internalize
+
+    def faulty(net, policy):
+        mn = sound(net, policy)
+        post = dict(mn.built.post)
+        post["u4"] = post["u4"].drop(["mana:u3"])
+        built = Net(mn.built.places, mn.built.transitions, mn.built.pre, post)
+        return ManaNet(mn.base, built, mn.mana_place_of, mn.policy)
+
+    monkeypatch.setattr(equivalence, "internalize", faulty)
+    report = check_equivalence(loop_net, loop_policy,
+                               ManaState(ms(p1=3), ms(u2=2, u3=1, u4=1)), 12, 20)
+    assert report.to_json_dict()["isomorphic"] is False
+    assert report.first_discrepancy == {
+        "kind": "node", "side": "external-only",
+        "value": {"mana:u2": 1, "mana:u3": 2, "mana:u4": 1, "p1": 1, "p2": 1}}
 
 
 @pytest.mark.parametrize("seed", range(25))

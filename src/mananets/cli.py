@@ -3,12 +3,14 @@
 Every command reads a net document (JSON or reaction DSL) as its first
 argument, writes machine-readable JSON to stdout (or to ``-o FILE``) and
 diagnostics to stderr. Exit codes: 0 ok, 1 check failed, 2 usage or
-document error.
+document error. A net that is not well formed is a document error for
+every command but ``validate``, which reports its violations as data.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -235,8 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, and reused by every later call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         data = Path(args.document).read_bytes()
     except OSError as err:
@@ -247,6 +255,13 @@ def main(argv=None) -> int:
     except MananetsError as err:
         _diag(str(err))
         return USAGE_ERROR
+    if args.command != "validate":
+        problems = validate_net(doc.net)
+        if problems:
+            first = problems[0]
+            where = f" ({first.detail})" if first.detail else ""
+            _diag(f"net is not well formed: {first.kind} {first.subject}{where}")
+            return USAGE_ERROR
     try:
         return args.func(doc, args)
     except MananetsError as err:

@@ -11,8 +11,9 @@ line-oriented chemist's shorthand::
     marking: 2 ATP + H2O
     pool: u3=1
 
-Sides are ``+``-separated terms with optional coefficients; ``0`` stands
-for the empty side. Blank lines and ``#`` comments are skipped.
+Sides are ``+``-separated terms with optional positive coefficients; a
+bare ``0`` stands for the empty side. Blank lines and ``#`` comments are
+skipped.
 """
 
 from __future__ import annotations
@@ -276,9 +277,10 @@ def _parse_side(scanner: _Scanner) -> Multiset:
                 if follower is None or follower[0] != "name" or clause_ahead:
                     # bare 0: the empty side
                     return Multiset(counts)
+                raise DocumentError(f"zero coefficient before {follower[1]!r}",
+                                    line=scanner.line, col=token[2])
         name = scanner.expect("name")
-        if coefficient:
-            counts[name[1]] = counts.get(name[1], 0) + coefficient
+        counts[name[1]] = counts.get(name[1], 0) + coefficient
         follower = scanner.peek()
         if follower is not None and follower[0] == "sym" and follower[1] == "+":
             scanner.next()

@@ -201,7 +201,11 @@ def comultiplication(mn: ManaNet) -> PresentedFunctor:
     """
     if not mn.policy.is_plain():
         raise PolicyError("comultiplication requires the plain policy")
-    double = iterated_construction(mn)
+    return _comultiplication(mn, iterated_construction(mn))
+
+
+def _comultiplication(mn: ManaNet, double: ManaNet) -> PresentedFunctor:
+    # `double` must be iterated_construction(mn), built by the caller.
     built = mn.built
     object_map: dict[str, Multiset] = {p: Multiset({p: 1}) for p in mn.base.places}
     for t in built.transitions:
@@ -246,16 +250,21 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     by freeness), plus naturality of counit and comultiplication on the
     supplied net morphisms. Inconclusive trace comparisons fail the check
     conservatively and are reported as such.
+
+    Each construction is built once per call. The build of `net`, its
+    double build, its counit and its comultiplication serve the three
+    comonad laws and the source side of both naturality squares for
+    every morphism out of `net` (or out of an equal net). Per morphism
+    only the target side is built; a morphism out of another net has
+    its source side built from that net.
     """
     problems = validate_net(net)
     if problems:
         raise ValueError(f"net is not well formed: {problems[0].kind} {problems[0].subject}")
 
-    mn = internal_construction(net)
-    double = iterated_construction(mn)
+    shared = _built_side(net)
+    mn, double, eps, delta = shared
     triple = iterated_construction(double)
-    eps = counit(mn)
-    delta = comultiplication(mn)
 
     results = []
 
@@ -269,16 +278,24 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     results.append(law_result("right-counit", verdict, witness))
 
     lifted_delta = lift_functor(delta, source_mana=double, target_mana=triple)
-    path_outer = compose_functors(comultiplication(double), delta)
+    path_outer = compose_functors(_comultiplication(double, triple), delta)
     path_lifted = compose_functors(lifted_delta, delta)
     verdict, witness = compare_functors(path_outer, path_lifted)
     results.append(law_result("coassociativity", verdict, witness))
 
-    results.extend(_naturality_results(morphisms))
+    results.extend(_naturality_results(morphisms, net, shared))
     return LawReport(tuple(results), notes=(COMULTIPLICATION_READING,))
 
 
-def _naturality_results(morphisms: Iterable[NetMorphism]) -> list[LawResult]:
+def _built_side(net: Net) -> tuple:
+    """A net's plain build, double build, counit and comultiplication."""
+    mn = internal_construction(net)
+    double = iterated_construction(mn)
+    return mn, double, counit(mn), _comultiplication(mn, double)
+
+
+def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
+                        shared: tuple) -> list[LawResult]:
     counit_verdict: bool | None = True
     counit_witness = None
     delta_verdict: bool | None = True
@@ -287,21 +304,20 @@ def _naturality_results(morphisms: Iterable[NetMorphism]) -> list[LawResult]:
     for index, morphism in enumerate(morphisms):
         checked += 1
         functor = functor_of_net_morphism(morphism)
-        smn = internal_construction(morphism.source)
-        tmn = internal_construction(morphism.target)
+        smn, sdd, s_eps, s_delta = (shared if morphism.source == net
+                                    else _built_side(morphism.source))
+        tmn, tdd, t_eps, t_delta = _built_side(morphism.target)
         lifted = lift_functor(functor, source_mana=smn, target_mana=tmn)
 
-        lhs = compose_functors(counit(tmn), lifted)
-        rhs = compose_functors(functor, counit(smn))
+        lhs = compose_functors(t_eps, lifted)
+        rhs = compose_functors(functor, s_eps)
         verdict, witness = compare_functors(lhs, rhs)
         counit_verdict, counit_witness = _merge(counit_verdict, counit_witness,
                                                 verdict, witness, index)
 
-        sdd = iterated_construction(smn)
-        tdd = iterated_construction(tmn)
         lifted_twice = lift_functor(lifted, source_mana=sdd, target_mana=tdd)
-        lhs = compose_functors(comultiplication(tmn), lifted)
-        rhs = compose_functors(lifted_twice, comultiplication(smn))
+        lhs = compose_functors(t_delta, lifted)
+        rhs = compose_functors(lifted_twice, s_delta)
         verdict, witness = compare_functors(lhs, rhs)
         delta_verdict, delta_witness = _merge(delta_verdict, delta_witness,
                                               verdict, witness, index)

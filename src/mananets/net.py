@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import UnknownSymbolError
-from .multiset import EMPTY, Multiset
+from .errors import CountOverflowError, UnknownSymbolError
+from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,26 @@ def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Mul
     >>> lift_multiset_map({"A": "P", "B": "P"}, Multiset({"A": 1, "B": 1}))
     Multiset({'P': 2})
     """
-    parts = []
+    counts: dict[str, int] = {}
+    overflow = None
     for symbol, count in m.items():
         if symbol not in mapping:
             raise UnknownSymbolError(symbol, "symbol map")
         image = mapping[symbol]
-        if isinstance(image, str):
-            image = Multiset({image: 1})
-        parts.append(count * image)
-    return Multiset.sum(parts) if parts else EMPTY
+        pairs = ((image, 1),) if isinstance(image, str) else image._entries.items()
+        for target, k in pairs:
+            scaled = count * k
+            if scaled > COUNT_MAX:
+                raise CountOverflowError(target, scaled)
+            total = counts.get(target, 0) + scaled
+            if total > COUNT_MAX and overflow is None:
+                # Raised after the loop: an unknown symbol or an overflowing
+                # scaled image anywhere is reported before a sum overflow.
+                overflow = CountOverflowError(target, total)
+            counts[target] = total
+    if overflow is not None:
+        raise overflow
+    return _wrap(counts) if counts else EMPTY
 
 
 @dataclass(frozen=True)

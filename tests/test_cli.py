@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mananets import cli
 from mananets.cli import main
 
 ATP_DOC = """\
@@ -211,3 +212,52 @@ def test_unknown_flag_is_usage_error(atp_path):
     with pytest.raises(SystemExit) as err:
         main(["validate", atp_path, "--frobnicate"])
     assert err.value.code == 2
+
+
+DANGLING_DOC = ('{"places": ["A"], "transitions": {"u": {"pre": {"B": 1}, "post": {}}}, '
+                '"marking": {"A": 1}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--depth", "3", "--max-tokens", "4"],
+    ["internalize"],
+    ["check-laws", "--samples", "3"],
+    ["reach", "--depth", "3", "--max-tokens", "4"],
+])
+def test_malformed_net_is_document_error(capsys, tmp_path, argv):
+    path = tmp_path / "dangling.json"
+    path.write_text(DANGLING_DOC, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "mananets: net is not well formed: unknown-place B (pre of u)\n"
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out
+
+
+def test_parser_is_built_once_and_reused(capsys, atp_path, abc_path):
+    sequence = [
+        ["check-laws", abc_path, "--samples", "3", "--seed", "2", "--comonad"],
+        ["check-laws", abc_path, "--samples", "3", "--seed", "2"],
+        ["run", atp_path, "--steps", "3", "--seed", "1"],
+        ["run", atp_path, "--steps", "3", "--policy", "lex"],
+        ["run", atp_path, "--steps", "3", "--seed", "1", "--policy", "lex"],
+        ["reach", atp_path, "--depth", "3", "--max-tokens", "10"],
+    ]
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        alone.append(outcome(capsys, argv))
+    assert [code for code, _ in alone] == [0, 0, 0, 0, 2, 0]
+
+    cli._parser.cache_clear()
+    together = [outcome(capsys, argv) for argv in sequence]
+    assert together == alone
+    assert cli._parser() is cli._parser()

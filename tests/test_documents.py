@@ -256,3 +256,26 @@ def test_duplicate_keys_rejected_with_path(text, path):
         parse_json(text)
     assert err.value.path == path
     assert "duplicate key" in err.value.message
+
+
+def test_dsl_zero_coefficient_before_name_rejected():
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl("a: A -> B\nu: 0 X + Y -> Z")
+    assert err.value.line == 2
+    assert err.value.col == 4
+    assert "zero coefficient" in str(err.value)
+
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl("u: A -> B + 0 C")
+    assert (err.value.line, err.value.col) == (1, 13)
+
+    with pytest.raises(DocumentError):
+        parse_reaction_dsl("u: A -> B\nmarking: 0 A")
+
+
+def test_dsl_bare_zero_is_still_the_empty_side():
+    doc = parse_reaction_dsl("u: 0 -> Z\nv: Z -> 0\nmarking: 0")
+    assert doc.net.pre["u"] == EMPTY
+    assert doc.net.post["v"] == EMPTY
+    assert doc.marking == EMPTY
+    assert doc.net.places == ("Z",)

@@ -290,3 +290,13 @@ def test_simulate_lex_and_seeded(pipeline_net, ms):
     assert trace == again
     seeded = simulate(pipeline_net, ms(p1=1, p2=1), 5, random.Random(3))
     assert run_trace(seeded) is not None
+
+
+def test_identical_invalid_traces_still_raise_with_index(abc_net, ms):
+    t = Trace(abc_net, ms(A=1, B=1), ("u", "u"))
+    with pytest.raises(NotEnabledError) as err:
+        trace_equivalent(t, Trace(abc_net, ms(A=1, B=1), ("u", "u")))
+    assert err.value.index == 1
+    with pytest.raises(NotEnabledError) as err:
+        trace_equivalent(t, t)
+    assert err.value.index == 1

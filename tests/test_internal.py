@@ -6,13 +6,16 @@ import pytest
 from mananets import (EMPTY, ManaPolicy, Multiset, NameClashError, Net,
                       PolicyError, Trace, apply_functor,
                       apply_functor_to_marking, check_comonad_laws,
-                      comultiplication, counit,
-                      generalized_internal_construction,
-                      internal_construction, iterated_construction,
-                      lift_functor, occurrence_multiset, run_trace,
-                      validate_functor)
-from mananets.functors import PresentedFunctor
-from mananets.sampling import random_marking, random_net, random_trace
+                      compose_functors, comultiplication, counit,
+                      functor_of_net_morphism, generalized_internal_construction,
+                      identity_functor, internal_construction,
+                      iterated_construction, lift_functor,
+                      occurrence_multiset, run_trace, validate_functor)
+from mananets import internal
+from mananets.functors import PresentedFunctor, compare_functors
+from mananets.reports import law_result
+from mananets.sampling import (random_marking, random_net, random_net_morphism,
+                               random_trace)
 
 
 def test_plain_construction_on_abc(abc_net, ms):
@@ -205,3 +208,137 @@ def test_law_names_are_stable(abc_net):
     assert [r.law for r in report.results] == [
         "left-counit", "right-counit", "coassociativity",
         "counit-naturality", "comultiplication-naturality"]
+
+
+# -- shared builds against the per-morphism reference -------------------------
+
+
+def reference_comonad_laws(net, morphisms=()):
+    """The comonad check with every construction rebuilt where it is used.
+
+    Constructions are looked up on the module at call time, so a
+    monkeypatched construction reaches this reference and the library
+    alike.
+    """
+    mn = internal.internal_construction(net)
+    double = internal.iterated_construction(mn)
+    triple = internal.iterated_construction(double)
+    eps = internal.counit(mn)
+    delta = internal.comultiplication(mn)
+    results = []
+    left = compose_functors(internal.lift_functor(eps, double, mn), delta)
+    results.append(law_result("left-counit",
+                              *compare_functors(left, identity_functor(mn.built))))
+    right = compose_functors(internal.counit(double), delta)
+    results.append(law_result("right-counit",
+                              *compare_functors(right, identity_functor(mn.built))))
+    path_outer = compose_functors(internal.comultiplication(double), delta)
+    path_lifted = compose_functors(internal.lift_functor(delta, double, triple), delta)
+    results.append(law_result("coassociativity",
+                              *compare_functors(path_outer, path_lifted)))
+    results.extend(reference_naturality_results(morphisms))
+    return [r.to_json_dict() for r in results]
+
+
+def reference_naturality_results(morphisms):
+    counit_acc = delta_acc = (True, None)
+    for index, morphism in enumerate(morphisms):
+        functor = functor_of_net_morphism(morphism)
+        smn = internal.internal_construction(morphism.source)
+        tmn = internal.internal_construction(morphism.target)
+        lifted = internal.lift_functor(functor, smn, tmn)
+
+        lhs = compose_functors(internal.counit(tmn), lifted)
+        rhs = compose_functors(functor, internal.counit(smn))
+        counit_acc = internal._merge(*counit_acc, *compare_functors(lhs, rhs), index)
+
+        sdd = internal.iterated_construction(smn)
+        tdd = internal.iterated_construction(tmn)
+        lifted_twice = internal.lift_functor(lifted, sdd, tdd)
+        lhs = compose_functors(internal.comultiplication(tmn), lifted)
+        rhs = compose_functors(lifted_twice, internal.comultiplication(smn))
+        delta_acc = internal._merge(*delta_acc, *compare_functors(lhs, rhs), index)
+    return [law_result("counit-naturality", *counit_acc),
+            law_result("comultiplication-naturality", *delta_acc)]
+
+
+def faulty_counit_on(bad_net, monkeypatch):
+    """Make counit send the last transition's mana place of `bad_net` to a place."""
+    real = internal.counit
+
+    def faulty(mn):
+        functor = real(mn)
+        if mn.base != bad_net or not mn.base.transitions or not mn.base.places:
+            return functor
+        object_map = dict(functor.object_map)
+        object_map[mn.mana_place_of[mn.base.transitions[-1]]] = \
+            Multiset({mn.base.places[0]: 1})
+        return PresentedFunctor(functor.source, functor.target, object_map,
+                                functor.morphism_map)
+
+    monkeypatch.setattr(internal, "counit", faulty)
+
+
+def sampled_morphisms(rng, net):
+    """Morphisms out of `net`, out of an equal copy of it and out of another net."""
+    copy = Net(net.places, net.transitions, net.pre, net.post)
+    other = random_net(rng)
+    return ([random_net_morphism(rng, net) for _ in range(3)]
+            + [random_net_morphism(rng, other), random_net_morphism(rng, copy)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shared_builds_match_per_morphism_reference(seed):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    morphisms = sampled_morphisms(rng, net)
+    got = check_comonad_laws(net, morphisms).to_json_list()
+    assert got == reference_comonad_laws(net, morphisms)
+    assert all(entry["status"] == "pass" for entry in got)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shared_builds_match_reference_under_faulty_counit(seed, monkeypatch):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    morphisms = sampled_morphisms(rng, net)
+    bad = rng.choice([net] + [m.target for m in morphisms] + [morphisms[3].source])
+    faulty_counit_on(bad, monkeypatch)
+    got = check_comonad_laws(net, morphisms).to_json_list()
+    assert got == reference_comonad_laws(net, morphisms)
+
+
+def test_faulty_counit_on_a_target_fails_naturality_at_its_index(loop_net, monkeypatch):
+    rng = random.Random(1)
+    morphisms = [random_net_morphism(rng, loop_net) for _ in range(4)]
+    faulty_counit_on(morphisms[2].target, monkeypatch)
+    got = check_comonad_laws(loop_net, morphisms).to_json_list()
+    assert got == [
+        {"law": "left-counit", "status": "pass"},
+        {"law": "right-counit", "status": "pass"},
+        {"law": "coassociativity", "status": "pass"},
+        {"law": "counit-naturality", "status": "fail",
+         "counterexample": {"morphism_index": 2, "kind": "object",
+                            "generator": "mana:u4", "left": {"q0": 1}, "right": {}}},
+        {"law": "comultiplication-naturality", "status": "pass"},
+    ]
+    assert got == reference_comonad_laws(loop_net, morphisms)
+
+
+def test_faulty_counit_on_the_source_fails_every_square_it_serves(loop_net, monkeypatch):
+    rng = random.Random(1)
+    morphisms = [random_net_morphism(rng, loop_net) for _ in range(4)]
+    faulty_counit_on(loop_net, monkeypatch)
+    got = check_comonad_laws(loop_net, morphisms).to_json_list()
+    assert got == [
+        {"law": "left-counit", "status": "fail",
+         "counterexample": {"kind": "object", "generator": "mana:u4",
+                            "left": {"mana:u4": 1, "p1": 1}, "right": {"mana:u4": 1}}},
+        {"law": "right-counit", "status": "pass"},
+        {"law": "coassociativity", "status": "pass"},
+        {"law": "counit-naturality", "status": "fail",
+         "counterexample": {"morphism_index": 0, "kind": "object",
+                            "generator": "mana:u4", "left": {}, "right": {"q0": 1}}},
+        {"law": "comultiplication-naturality", "status": "pass"},
+    ]
+    assert got == reference_comonad_laws(loop_net, morphisms)

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mananets import (Multiset, Net, NetMorphism, UnknownSymbolError,
-                      compose_morphisms, lift_multiset_map, validate_morphism,
-                      validate_net)
+from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net,
+                      NetMorphism, UnknownSymbolError, compose_morphisms,
+                      lift_multiset_map, validate_morphism, validate_net)
 from mananets.sampling import random_net, random_net_morphism
 
 
@@ -61,6 +63,57 @@ def test_lift_accepts_multiset_images():
 def test_lift_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         lift_multiset_map({"A": "P"}, Multiset({"B": 1}))
+
+
+def reference_lift(mapping, m):
+    """Scale each image, then fold the parts with Multiset.sum."""
+    parts = []
+    for symbol, count in m.items():
+        if symbol not in mapping:
+            raise UnknownSymbolError(symbol, "symbol map")
+        image = mapping[symbol]
+        if isinstance(image, str):
+            image = Multiset({image: 1})
+        parts.append(count * image)
+    return Multiset.sum(parts) if parts else EMPTY
+
+
+def lift_outcome(lift, mapping, m):
+    try:
+        return "ok", lift(mapping, m)
+    except UnknownSymbolError as err:
+        return "unknown", err.symbol, str(err)
+    except CountOverflowError as err:
+        return "overflow", err.symbol, err.count
+
+
+lift_counts = st.one_of(st.integers(1, 3), st.integers(COUNT_MAX // 3, COUNT_MAX))
+lift_targets = st.sampled_from(["P", "Q", "R"])
+lift_images = st.one_of(
+    lift_targets,
+    st.dictionaries(lift_targets, lift_counts, max_size=3).map(Multiset))
+
+
+@given(st.dictionaries(st.sampled_from("ABCD"), lift_images, max_size=4),
+       st.dictionaries(st.sampled_from("ABCDE"), lift_counts, max_size=5).map(Multiset))
+def test_lift_matches_parts_and_sum(mapping, m):
+    assert lift_outcome(lift_multiset_map, mapping, m) == lift_outcome(reference_lift, mapping, m)
+
+
+def test_lift_reports_unknowns_and_scaled_overflows_before_sum_overflow():
+    half = COUNT_MAX // 2 + 1
+    big = Multiset({"P": half})
+    with pytest.raises(CountOverflowError) as err:
+        lift_multiset_map({"A": big, "B": Multiset({"Q": 1, "P": half})},
+                          Multiset({"A": 1, "B": 1}))
+    assert (err.value.symbol, err.value.count) == ("P", 2 * half)
+    with pytest.raises(UnknownSymbolError) as err:
+        lift_multiset_map({"A": big, "B": big}, Multiset({"A": 1, "B": 1, "C": 1, "D": 1}))
+    assert err.value.symbol == "C"
+    with pytest.raises(CountOverflowError) as err:
+        lift_multiset_map({"A": big, "B": big, "C": Multiset({"R": COUNT_MAX})},
+                          Multiset({"A": 1, "B": 1, "C": 2}))
+    assert (err.value.symbol, err.value.count) == ("R", 2 * COUNT_MAX)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import DocumentError
-from .execution import ReachGraph, Trace
-from .external import ManaState
+from .execution import ReachGraph, TokenGame, Trace, VectorGraph, order_nodes
+from .external import ManaGame, ManaState
 from .internal import ManaPolicy
 from .multiset import EMPTY, Multiset
 from .net import Net
@@ -460,54 +460,55 @@ def graph_to_json_dict(graph: ReachGraph) -> dict:
     }
 
 
-def emit_graph_json(graph: ReachGraph) -> str:
-    """Canonical JSON text of :func:`graph_to_json_dict`, written directly.
+def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
+                    token_bound: int) -> str:
+    """Canonical JSON text of an explored graph, written from its vectors.
 
-    The text is exactly ``json.dumps(graph_to_json_dict(graph),
-    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``. With an
-    indent, ``json.dumps`` runs its pure-Python encoder, which dominates
-    the time of a large ``reach``; this writer only joins strings.
-    Edges are expected to hold the node objects of ``graph.nodes``, as
-    :func:`~mananets.execution.reach` and
-    :func:`~mananets.external.mana_reach` build them; otherwise nodes are
-    found by equality, as in :func:`graph_to_json_dict`.
+    `graph` is what :func:`~mananets.execution.explore` found in `game`
+    within the two bounds. The text is exactly ``json.dumps(
+    graph_to_json_dict(game.reach(root, depth_bound, token_bound)),
+    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, so nodes and
+    edges come in the order of :func:`~mananets.execution.order_nodes`.
+    Each node is written from the game's sorted symbols, the marking
+    segment and, for a :class:`~mananets.external.ManaGame`, the pool
+    segment; no ``Multiset`` or ``ReachGraph`` is built. With an indent,
+    ``json.dumps`` runs its pure-Python encoder, which would dominate the
+    time of a large ``reach``; this writer only joins strings.
     """
     names = _JsonStrings()
-    position = {id(node): str(i) for i, node in enumerate(graph.nodes)}
+    order, rank = order_nodes(game, graph)
+    split = game.split
+    symbols = game.symbols
+    out = graph.out
 
-    def edge_texts() -> list[str]:
-        return [f"[\n      {position[id(s)]},\n      {names[label]},\n      {position[id(d)]}\n    ]"
-                for s, label, d in graph.edges]
-
-    try:
-        edges = edge_texts()
-        root = position[id(graph.root)]
-    except KeyError:
-        index = {node: str(i) for i, node in enumerate(graph.nodes)}
-        ends = [graph.root, *(node for s, _, d in graph.edges for node in (s, d))]
-        position.update((id(node), index[node]) for node in ends)
-        edges = edge_texts()
-        root = position[id(graph.root)]
-
-    def counts(m: Multiset, indent: str) -> str:
-        if not m:
-            return "{}"
+    def segment(start: int, stop: int, indent: str):
+        """The writer of one segment's counts as a JSON object at `indent`."""
+        members = [_Members(names[s] + ": ") for s in symbols[start:stop]]
         inner = ",\n" + indent + "  "
-        entries = inner.join([f"{names[symbol]}: {count}" for symbol, count in m.items()])
-        return "{" + inner[1:] + entries + "\n" + indent + "}"
+        close = "\n" + indent + "}"
 
-    def node(value) -> str:
-        if isinstance(value, ManaState):
-            return ('{\n      "marking": ' + counts(value.marking, "      ")
-                    + ',\n      "pool": ' + counts(value.pool, "      ") + "\n    }")
-        return counts(value, "    ")
+        def counts(vector) -> str:
+            entries = [texts[c] for texts, c in zip(members, vector[start:]) if c]
+            return "{" + inner[1:] + inner.join(entries) + close if entries else "{}"
+        return counts
 
+    vectors = [graph.nodes[s] for s in order]
+    if isinstance(game, ManaGame):
+        marking = segment(0, split, "      ")
+        pool = segment(split, len(symbols), "      ")
+        nodes = ['{\n      "marking": ' + marking(v) + ',\n      "pool": ' + pool(v)
+                 + "\n    }" for v in vectors]
+    else:
+        counts = segment(0, split, "    ")
+        nodes = [counts(v) for v in vectors]
+    edges = [f"[\n      {r},\n      {names[label]},\n      {rank[d]}\n    ]"
+             for r, s in enumerate(order) for label, d in out[s]]
     return "".join((
-        '{\n  "depth_bound": ', _json_scalar(graph.depth_bound),
+        '{\n  "depth_bound": ', _json_scalar(depth_bound),
         ',\n  "edges": ', _json_list(edges),
-        ',\n  "nodes": ', _json_list([node(value) for value in graph.nodes]),
-        ',\n  "root": ', root,
-        ',\n  "token_bound": ', _json_scalar(graph.token_bound),
+        ',\n  "nodes": ', _json_list(nodes),
+        ',\n  "root": ', str(rank[0]),
+        ',\n  "token_bound": ', _json_scalar(token_bound),
         ',\n  "truncated": ', _json_scalar(graph.truncated),
         "\n}\n"))
 
@@ -518,6 +519,19 @@ class _JsonStrings(dict):
     def __missing__(self, text: str) -> str:
         literal = self[text] = json.encoder.encode_basestring(text)
         return literal
+
+
+class _Members(dict):
+    """The ``"symbol": count`` member texts of one symbol, each made once."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, head: str):
+        self.head = head
+
+    def __missing__(self, count: int) -> str:
+        text = self[count] = self.head + str(count)
+        return text
 
 
 def _json_scalar(value) -> str:

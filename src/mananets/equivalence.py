@@ -129,7 +129,9 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     one node for node and edge for edge (labels included). Both sides run
     on count vectors, and the map is a fixed one from external
     coordinates to built-net coordinates: pool coordinate ``t`` goes to
-    the mana place of ``t``.
+    the mana place of ``t``. The graphs are compared as sets, in the
+    order :func:`~mananets.execution.explore` found them; no side is
+    sorted.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
@@ -142,7 +144,7 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
 
     lay_out = _layout(mn, ext_game, int_game)
     mapped = [lay_out(v) for v in ext.nodes]
-    discrepancy = _first_discrepancy(int_game, mapped, ext.edges, internal)
+    discrepancy = _first_discrepancy(int_game, mapped, ext.out, internal)
     return EquivalenceReport(
         isomorphic=discrepancy is None,
         ext_nodes=len(ext.nodes),
@@ -170,12 +172,14 @@ def _layout(mn: ManaNet, ext_game: ManaGame, int_game: TokenGame):
     return lambda v: tuple([0 if i is None else v[i] for i in source])
 
 
-def _first_discrepancy(game: TokenGame, ext_nodes: list, ext_edges, internal) -> dict | None:
+def _first_discrepancy(game: TokenGame, ext_nodes: list, ext_out: list,
+                       internal) -> dict | None:
     """The least node, else the least edge, found on one side only.
 
     `ext_nodes` are the external states already laid out on the built
-    net, in the external graph's order, so that the external edges can
-    refer to them by position.
+    net, in the external graph's order, so that the external firings
+    `ext_out` can refer to them by position. Both sides are compared as
+    sets, so neither needs to be sorted.
     """
     ext_set = set(ext_nodes)
     int_set = set(internal.nodes)
@@ -186,9 +190,9 @@ def _first_discrepancy(game: TokenGame, ext_nodes: list, ext_edges, internal) ->
             return {"kind": "node", "side": side, "value": first.as_dict()}
 
     position = {v: k for k, v in enumerate(internal.nodes)}
-    ext_arcs = {(position[ext_nodes[s]], label, position[ext_nodes[d]])
-                for s, label, d in ext_edges}
-    int_arcs = set(internal.edges)
+    at = [position[v] for v in ext_nodes]
+    ext_arcs = {(at[s], label, at[d]) for s, pairs in enumerate(ext_out) for label, d in pairs}
+    int_arcs = {(s, label, d) for s, pairs in enumerate(internal.out) for label, d in pairs}
     for side, extra in (("external-only", ext_arcs - int_arcs),
                         ("internal-only", int_arcs - ext_arcs)):
         if extra:

@@ -10,11 +10,14 @@ Bounded reachability runs on the net compiled once into its incidence
 form (a :class:`TokenGame`): every symbol that can occur gets a
 coordinate, and every transition becomes the counts it needs and the
 changes it makes. :func:`explore` then searches over plain tuples of
-counts, and ``Multiset`` values are built only at the API boundary,
-once per node of the result. The mana game of :mod:`mananets.external`
-appends the pool as a second segment of the same vector, so
-:func:`reach`, :func:`~mananets.external.mana_reach` and both sides of
-:func:`~mananets.equivalence.check_equivalence` share this one kernel.
+counts and returns them in the order it found them. The mana game of
+:mod:`mananets.external` appends the pool as a second segment of the
+same vector, so :func:`reach`, :func:`~mananets.external.mana_reach` and
+both sides of :func:`~mananets.equivalence.check_equivalence` share this
+one kernel. Only where the order shows is a graph sorted, by
+:func:`order_nodes`: :func:`reach` and ``mana_reach`` then build one
+``Multiset`` value per node, and :func:`~mananets.documents.emit_graph_json`
+writes the text straight from the vectors.
 """
 
 from __future__ import annotations
@@ -292,32 +295,57 @@ class TokenGame:
         return False
 
     def reach(self, root, depth_bound: int, token_bound: int) -> ReachGraph:
-        """Explore from the `root` state; each node becomes an API value once."""
+        """Explore from the `root` state and sort; each node becomes an API value once."""
         graph = explore(self, self.vector(root),
                         depth_bound=depth_bound, token_bound=token_bound)
-        nodes = [self.state(v) for v in graph.nodes]
-        nodes[graph.root] = root
-        edges = [(nodes[s], label, nodes[d]) for s, label, d in graph.edges]
+        order, rank = order_nodes(self, graph)
+        nodes = [self.state(graph.nodes[s]) for s in order]
+        nodes[rank[0]] = root
+        edges = [(nodes[r], label, nodes[rank[d]])
+                 for r, s in enumerate(order) for label, d in graph.out[s]]
         return ReachGraph(root, tuple(nodes), tuple(edges), depth_bound, token_bound,
                           graph.truncated)
 
 
 class VectorGraph:
-    """The states :func:`explore` found, sorted, and the firings between them.
+    """The states :func:`explore` found and the firings out of each, in search order.
 
-    `root` is the position of the root in `nodes`. Edges are
-    ``(source, label, target)`` triples of positions in `nodes`, sorted
-    by source, then label. It is a plain class because a frozen
-    dataclass generates and compiles its methods at import time.
+    `nodes` holds the state vectors in the order they were found, the
+    root first. ``out[s]`` lists the ``(label, target)`` firings out of
+    node `s` in the game's step order, targets being positions in
+    `nodes`; a node that was not expanded has none. :func:`order_nodes`
+    sorts the nodes where the order matters. It is a plain class because
+    a frozen dataclass generates and compiles its methods at import time.
     """
 
-    __slots__ = ("root", "nodes", "edges", "truncated")
+    __slots__ = ("nodes", "out", "truncated")
 
-    def __init__(self, root: int, nodes: tuple, edges: tuple, truncated: bool):
-        self.root = root
+    def __init__(self, nodes: list, out: list, truncated: bool):
         self.nodes = nodes
-        self.edges = edges
+        self.out = out
         self.truncated = truncated
+
+    @property
+    def edges(self) -> _Edges:
+        """The firings as ``(source, label, target)`` triples, counted by ``len``."""
+        return _Edges(self.out)
+
+
+class _Edges:
+    """A view of adjacency lists as triples, made only as they are read."""
+
+    __slots__ = ("_out",)
+
+    def __init__(self, out: list):
+        self._out = out
+
+    def __len__(self) -> int:
+        return sum(map(len, self._out))
+
+    def __iter__(self):
+        for s, pairs in enumerate(self._out):
+            for label, d in pairs:
+                yield s, label, d
 
 
 def explore(game: TokenGame, root: tuple, *, depth_bound: int,
@@ -329,15 +357,19 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
     that hides a firing marks the graph as truncated. The search runs
     level by level, in the order a FIFO queue would, so that a firing
     that raises does so at the same point as on ``Multiset`` values.
+    The graph comes back in that discovery order, unsorted; see
+    :func:`order_nodes`.
     """
     steps = game.steps
     index = {root: 0}
     states = [root]
     sizes = [sum(root)]
-    out: list = [()]
+    # Nodes are visited in the order they were found, so `out` grows with them.
+    out: list = []
     truncated = False
     frontier = [0]
     depth = 0
+    found = 1
     while frontier:
         level = []
         for s in frontier:
@@ -346,6 +378,7 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
             if depth >= depth_bound or size > token_bound:
                 if game.can_fire(state, size):
                     truncated = True
+                out.append(())
                 continue
             edges = []
             for label, pre, delta, growth, exact in steps:
@@ -367,24 +400,32 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
                     if nxt_size > token_bound:
                         truncated = True
                         continue
-                    j = index.setdefault(nxt, len(states))
-                    if j == len(states):
+                    j = index.setdefault(nxt, found)
+                    if j == found:
+                        found += 1
                         states.append(nxt)
                         sizes.append(nxt_size)
-                        out.append(())
                         level.append(j)
                     edges.append((label, j))
-            out[s] = edges
+            out.append(edges)
         frontier = level
         depth += 1
+    return VectorGraph(states, out, truncated)
 
-    keys = [game.key(v) for v in states]
-    order = sorted(range(len(states)), key=keys.__getitem__)
-    rank = [0] * len(states)
+
+def order_nodes(game: TokenGame, graph: VectorGraph) -> tuple[list[int], list[int]]:
+    """Sort the nodes of `graph` by ``game.key``, the order of ``ReachGraph``.
+
+    Returns the node positions in sorted order and, for each position,
+    its rank in that order. A node's firings already come in label
+    order, so walking ``graph.out`` in this order gives the sorted edges.
+    """
+    keys = [game.key(v) for v in graph.nodes]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
     for r, s in enumerate(order):
         rank[s] = r
-    edges = [(r, label, rank[j]) for r, s in enumerate(order) for label, j in out[s]]
-    return VectorGraph(rank[0], tuple([states[s] for s in order]), tuple(edges), truncated)
+    return order, rank
 
 
 def reach(net: Net, initial: Multiset, depth_bound: int, token_bound: int) -> ReachGraph:
@@ -400,10 +441,11 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     chosen unless an `rng` is supplied, in which case the choice is drawn
     from it (reproducibly, given a seeded Random).
     """
+    labels = sorted(net.transitions)
     marking = initial
     steps: list[str] = []
     for _ in range(max_steps):
-        candidates = [t for t in sorted(net.transitions) if net.pre[t] <= marking]
+        candidates = [t for t in labels if net.pre[t] <= marking]
         if not candidates:
             break
         choice = rng.choice(candidates) if rng is not None else candidates[0]

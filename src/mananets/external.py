@@ -93,13 +93,29 @@ def mana_enabled(net: Net, policy: ManaPolicy, state: ManaState, transition: str
     return span_of_transition(policy, transition).apply(state.pool) is not None
 
 
+def _mana_step(net: Net, policy: ManaPolicy, state: ManaState,
+               transition: str) -> ManaState | None:
+    """Try one firing under the policy: the next state, or None when blocked.
+
+    The checks run in the order of :func:`mana_enabled`, so a transition
+    the marking does not enable never consults the policy.
+    """
+    if not enabled(net, state.marking, transition):
+        return None
+    pool = span_of_transition(policy, transition).apply(state.pool)
+    if pool is None:
+        return None
+    return ManaState(fire(net, state.marking, transition), pool)
+
+
 def mana_fire(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> ManaState:
     """Fire under the policy, updating marking and pool atomically."""
-    compound_ok = enabled(net, state.marking, transition)
-    pool = span_of_transition(policy, transition).apply(state.pool)
-    if not compound_ok or pool is None:
-        raise NotManaEnabledError(transition, compound_ok, pool is not None)
-    return ManaState(fire(net, state.marking, transition), pool)
+    nxt = _mana_step(net, policy, state, transition)
+    if nxt is None:
+        compound_ok = enabled(net, state.marking, transition)
+        mana_ok = span_of_transition(policy, transition).apply(state.pool) is not None
+        raise NotManaEnabledError(transition, compound_ok, mana_ok)
+    return nxt
 
 
 class ManaGame(TokenGame):
@@ -110,8 +126,8 @@ class ManaGame(TokenGame):
     policy's produce maps or the initial pool mention. A firing of ``t``
     needs its pre-set and ``consume(t)`` units of ``t``'s pool, and adds
     its post-set and ``produce(t)``. Entries the policy lacks, or holds in
-    another form, make the step exact: it runs :func:`mana_enabled` and
-    :func:`mana_fire` on every visit.
+    another form, make the step exact: it tries the firing on ``Multiset``
+    values, with the checks of :func:`mana_enabled`, on every visit.
     """
 
     def __init__(self, net: Net, policy: ManaPolicy, initial: ManaState):
@@ -140,9 +156,7 @@ class ManaGame(TokenGame):
         return (_segment_key(vector[:self.split]), _segment_key(vector[self.split:]))
 
     def successor(self, state: ManaState, label: str) -> ManaState | None:
-        if not mana_enabled(self.net, self.policy, state, label):
-            return None
-        return mana_fire(self.net, self.policy, state, label)
+        return _mana_step(self.net, self.policy, state, label)
 
 
 def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,
@@ -154,15 +168,15 @@ def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,
 def mana_simulate(net: Net, policy: ManaPolicy, initial: ManaState, max_steps: int,
                   rng: random.Random | None = None) -> tuple[tuple[str, ...], ManaState]:
     """Fire up to `max_steps` mana-enabled transitions; lex order unless seeded."""
+    labels = sorted(net.transitions)
     state = initial
     steps: list[str] = []
     for _ in range(max_steps):
-        candidates = [t for t in sorted(net.transitions)
-                      if mana_enabled(net, policy, state, t)]
-        if not candidates:
+        moves = [(t, nxt) for t in labels
+                 if (nxt := _mana_step(net, policy, state, t)) is not None]
+        if not moves:
             break
-        choice = rng.choice(candidates) if rng is not None else candidates[0]
-        state = mana_fire(net, policy, state, choice)
+        choice, state = rng.choice(moves) if rng is not None else moves[0]
         steps.append(choice)
     return tuple(steps), state
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,49 @@ def test_unknown_flag_is_usage_error(atp_path):
     with pytest.raises(SystemExit) as err:
         main(["validate", atp_path, "--frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-laws", "--samples", "-3"],
+    ["reach", "--depth", "-1", "--max-tokens", "4"],
+    ["reach", "--depth", "3", "--max-tokens", "-1"],
+    ["equiv", "--depth", "-1", "--max-tokens", "4"],
+    ["equiv", "--depth", "3", "--max-tokens", "-2"],
+    ["run", "--steps", "-2"],
+])
+def test_negative_bound_is_usage_error(capsys, abc_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], abc_path, *argv[1:]])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative" in captured.err
+
+
+def test_zero_bounds_are_valid(capsys, abc_path):
+    assert run(capsys, "check-laws", abc_path, "--samples", "0")[0] == 0
+    assert run(capsys, "run", abc_path, "--steps", "0")[0] == 0
+    code, out, _ = run(capsys, "reach", abc_path, "--depth", "0", "--max-tokens", "0")
+    assert code == 0 and json.loads(out)["nodes"] == [{"A": 1, "B": 1}]
+    assert run(capsys, "equiv", abc_path, "--depth", "0", "--max-tokens", "0")[0] == 0
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ring6", ["reach", "--depth", "4", "--max-tokens", "6"]),
+    ("ring6", ["equiv", "--depth", "8", "--max-tokens", "12"]),
+    ("ring6", ["check-laws", "--samples", "5", "--seed", "0"]),
+    ("loop", ["reach", "--depth", "12", "--max-tokens", "8"]),
+    ("loop", ["equiv", "--depth", "10", "--max-tokens", "10"]),
+    ("loop", ["check-laws", "--samples", "5", "--seed", "0"]),
+])
+def test_golden_output(capsys, name, argv):
+    """Stdout is byte for byte what the checked-in file holds."""
+    code, out, err = run(capsys, argv[0], str(DATA / f"{name}.json"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}.{argv[0]}.json").read_bytes().decode("utf-8")
 
 
 DANGLING_DOC = ('{"places": ["A"], "transitions": {"u": {"pre": {"B": 1}, "post": {}}}, '

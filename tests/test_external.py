@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mananets import (EMPTY, AffineSpan, ManaPolicy, ManaState, Multiset,
                       NotManaEnabledError, Trace, check_functor_laws,
                       check_laxator_naturality, compose_spans, laxator,
-                      mana_enabled, mana_fire, mana_reach, occurrence_multiset,
-                      span_of_trace, span_of_transition)
+                      mana_enabled, mana_fire, mana_reach, mana_simulate,
+                      occurrence_multiset, span_of_trace, span_of_transition)
 from mananets.sampling import random_marking, random_net, random_policy, random_trace
 
 pools = st.dictionaries(st.sampled_from(["u", "v", "w"]), st.integers(1, 5),
@@ -128,6 +128,37 @@ def test_mana_fire_error_distinguishes_sides(abc_net, plain, ms):
     with pytest.raises(NotManaEnabledError) as err:
         mana_fire(abc_net, plain, ManaState(ms(A=1), ms(u=1)), "u")
     assert not err.value.compound_ok and err.value.mana_ok
+    with pytest.raises(NotManaEnabledError) as err:
+        mana_fire(abc_net, plain, ManaState(ms(A=1), EMPTY), "u")
+    assert not err.value.compound_ok and not err.value.mana_ok
+
+
+def reference_mana_simulate(net, policy, initial, max_steps, rng=None):
+    """The checks of mana_enabled for every transition, then mana_fire."""
+    state = initial
+    steps = []
+    for _ in range(max_steps):
+        candidates = [t for t in sorted(net.transitions)
+                      if mana_enabled(net, policy, state, t)]
+        if not candidates:
+            break
+        choice = rng.choice(candidates) if rng is not None else candidates[0]
+        state = mana_fire(net, policy, state, choice)
+        steps.append(choice)
+    return tuple(steps), state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mana_simulate_matches_reference(seed):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    policy = random_policy(rng, net)
+    initial = ManaState(random_marking(rng, net, 4),
+                        Multiset({t: rng.randint(0, 3) for t in net.transitions}))
+    assert mana_simulate(net, policy, initial, 12) == \
+        reference_mana_simulate(net, policy, initial, 12)
+    assert mana_simulate(net, policy, initial, 12, random.Random(seed)) == \
+        reference_mana_simulate(net, policy, initial, 12, random.Random(seed))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -20,8 +20,8 @@ from mananets import (COUNT_MAX, CountOverflowError, EquivalenceReport,
                       check_equivalence, graph_to_json_dict, internalize,
                       mana_reach, reach, state_to_object)
 from mananets.documents import emit_graph_json
-from mananets.execution import ReachGraph
-from mananets.external import mana_enabled, mana_fire
+from mananets.execution import ReachGraph, TokenGame, explore, order_nodes
+from mananets.external import ManaGame, mana_enabled, mana_fire
 
 # -- the reference -------------------------------------------------------------
 
@@ -197,6 +197,46 @@ def test_check_equivalence_matches_reference(data):
         outcome(ref_check_equivalence, net, policy, initial, depth, bound)
 
 
+def game_and_root(data, net, initial):
+    """A plain or a mana game on `net`, the policy possibly partial, and its root."""
+    if data.draw(st.booleans()):
+        return TokenGame(net, initial), initial
+    policy = data.draw(policies(net, partial=data.draw(st.booleans())))
+    root = ManaState(initial, data.draw(pools(net)))
+    return ManaGame(net, policy, root), root
+
+
+def ordered(game, root, depth, bound):
+    """Explore, then sort with order_nodes, as the library's reach does."""
+    graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
+    assert graph.nodes[0] == game.vector(root)
+    discovered_by = {}
+    for s, _, d in graph.edges:
+        discovered_by.setdefault(d, s)
+    assert all(discovered_by[d] < d for d in range(1, len(graph.nodes)))
+    order, rank = order_nodes(game, graph)
+    nodes = tuple(game.state(graph.nodes[s]) for s in order)
+    edges = tuple((nodes[r], label, nodes[rank[d]])
+                  for r, s in enumerate(order) for label, d in graph.out[s])
+    assert len(graph.edges) == len(edges)
+    return nodes[rank[0]], nodes, edges, graph.truncated
+
+
+@SETTINGS
+@given(st.data())
+def test_ordered_explore_matches_reference(data):
+    net = data.draw(nets())
+    game, root = game_and_root(data, net, data.draw(markings))
+    depth, bound = data.draw(bounds)
+    if isinstance(game, ManaGame):
+        reference = outcome(ref_mana_reach, net, game.policy, root, depth, bound)
+    else:
+        reference = outcome(ref_reach, net, root, depth, bound)
+    if isinstance(reference, ReachGraph):
+        reference = (reference.root, reference.nodes, reference.edges, reference.truncated)
+    assert outcome(ordered, game, root, depth, bound) == reference
+
+
 def test_marking_on_a_mana_place_name_merges_with_the_pool():
     net = Net.build(["a"], {"t0": ({"a": 1}, {})})
     policy = ManaPolicy.plain(net)
@@ -254,31 +294,35 @@ def named_nets(draw):
     return Net.build(places, arcs)
 
 
+def written(game, root, depth, bound) -> str:
+    graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
+    return emit_graph_json(game, graph, depth, bound)
+
+
 @SETTINGS
 @given(st.data())
 def test_writer_is_byte_identical_to_json_dumps(data):
     net = data.draw(named_nets())
-    depth, bound = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 6))
-    initial = data.draw(multisets(list(net.places)))
-    if data.draw(st.booleans()):
-        graph = reach(net, initial, depth, bound)
+    depth = data.draw(st.integers(0, 4))
+    bound = data.draw(st.one_of(st.integers(0, 6), st.just(4 * COUNT_MAX)))
+    # A stray marking symbol, and counts near COUNT_MAX whose firings take
+    # the exact path, as do policy entries that are missing or invalid.
+    initial = data.draw(multisets(list(net.places) + ["stray~"], counts))
+    game, root = game_and_root(data, net, initial)
+    if isinstance(game, ManaGame):
+        library = outcome(mana_reach, net, game.policy, root, depth, bound)
     else:
-        policy = ManaPolicy.of(net, {})
-        pool = data.draw(multisets(list(net.transitions) or ["none"]))
-        graph = mana_reach(net, policy, ManaState(initial, pool), depth, bound)
-    assert emit_graph_json(graph) == canonical(graph)
+        library = outcome(reach, net, root, depth, bound)
+    if isinstance(library, ReachGraph):
+        library = canonical(library)
+    assert outcome(written, game, root, depth, bound) == library
 
 
 def test_writer_empty_node_and_no_edges():
-    graph = reach(Net.build(["A"], {}), Multiset(), 3, 3)
+    net = Net.build(["A"], {})
+    graph = reach(net, Multiset(), 3, 3)
     assert graph.nodes == (Multiset(),) and graph.edges == ()
-    assert emit_graph_json(graph) == canonical(graph)
-    assert '"nodes": [\n    {}\n  ]' in emit_graph_json(graph)
-    assert '"edges": []' in emit_graph_json(graph)
-
-
-def test_writer_finds_nodes_by_equality_in_built_graphs():
-    a, b = Multiset({"A": 1}), Multiset({"B": 1})
-    graph = ReachGraph(Multiset({"A": 1}), (a, b),
-                       ((Multiset({"A": 1}), "u", Multiset({"B": 1})),), 1, 1, False)
-    assert emit_graph_json(graph) == canonical(graph)
+    text = written(TokenGame(net, Multiset()), Multiset(), 3, 3)
+    assert text == canonical(graph)
+    assert '"nodes": [\n    {}\n  ]' in text
+    assert '"edges": []' in text

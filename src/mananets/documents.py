@@ -26,7 +26,7 @@ from .errors import DocumentError
 from .execution import ReachGraph, TokenGame, Trace, VectorGraph, order_nodes
 from .external import ManaGame, ManaState
 from .internal import ManaPolicy
-from .multiset import EMPTY, Multiset
+from .multiset import COUNT_MAX, EMPTY, Multiset
 from .net import Net
 
 _TOP_KEYS = {"places", "transitions", "mana", "marking", "pool"}
@@ -184,6 +184,9 @@ def _parse_mana(raw, net: Net) -> ManaPolicy:
         consume = body.get("consume", 1)
         if not isinstance(consume, int) or isinstance(consume, bool) or consume < 0:
             raise DocumentError("'consume' must be a non-negative integer",
+                                path=f"{path}.consume")
+        if consume > COUNT_MAX:
+            raise DocumentError(f"'consume' exceeds the bound: {consume}",
                                 path=f"{path}.consume")
         produce = _parse_multiset(body.get("produce", {}), f"{path}.produce")
         _check_support(produce, declared, f"{path}.produce", "transition")
@@ -378,7 +381,11 @@ def parse_reaction_dsl(text: str) -> NetDocument:
                                     line=lineno, col=keyword[2])
             scanner.expect("sym", ":")
             scanner.expect("name", "consume")
-            consume = int(scanner.expect("nat")[1])
+            count = scanner.expect("nat")
+            consume = int(count[1])
+            if consume > COUNT_MAX:
+                raise DocumentError(f"'consume' exceeds the bound: {consume}",
+                                    line=lineno, col=count[2])
             produce = EMPTY
             if not scanner.at_end():
                 scanner.expect("sym", ",")

@@ -4,10 +4,12 @@ Instead of baking mana places into the net, a state is a pair
 :class:`ManaState` of a marking and a pool of mana counts per
 transition, and each execution acts on pools through an
 :class:`AffineSpan`: subtract the consumed multiset, add the produced
-one. Span composition is componentwise addition, and the laxator that
-merges the pools of two states considered together is just the multiset
-sum; :func:`check_functor_laws` and :func:`check_laxator_naturality`
-verify these facts on sampled traces.
+one. Span composition is componentwise addition, so the span of a trace
+depends only on its occurrence multiset, how often each transition
+fires, and :func:`span_of_trace` computes it from those counts. The
+laxator that merges the pools of two states considered together is just
+the multiset sum; :func:`check_functor_laws` and
+:func:`check_laxator_naturality` verify these facts on sampled traces.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import NotManaEnabledError, UnknownSymbolError
 from .execution import (ReachGraph, TokenGame, Trace, _segment_key, enabled, fire,
                         replay)
 from .internal import ManaPolicy
-from .multiset import EMPTY, Multiset
+from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
 from .reports import LawReport, LawResult, law_result
 
@@ -74,9 +76,41 @@ def compose_spans(first: AffineSpan, second: AffineSpan) -> AffineSpan:
 
 
 def span_of_trace(policy: ManaPolicy, trace: Trace) -> AffineSpan:
-    """Fold the firing spans of a whole trace."""
-    span = AffineSpan.identity()
+    """The composite of the firing spans of a whole trace.
+
+    Spans compose by addition, so the result depends only on how often
+    each transition fires: ``k`` firings of ``t`` consume ``k * consume(t)``
+    units of ``t``'s mana and produce ``k * produce(t)``. A policy entry
+    that is missing or malformed, or a count past ``COUNT_MAX``, is
+    reported by composing step by step, so the error is the one the
+    first offending step raises.
+    """
+    occurrences: dict[str, int] = {}
     for transition in trace.steps:
+        occurrences[transition] = occurrences.get(transition, 0) + 1
+    consume_of, produce_of = policy.consume, policy.produce
+    consume: dict[str, int] = {}
+    produce: dict[str, int] = {}
+    for transition, k in occurrences.items():
+        c = consume_of.get(transition)
+        p = produce_of.get(transition)
+        if type(c) is not int or c < 0 or type(p) is not Multiset:
+            return _span_by_steps(policy, trace.steps)
+        if c:
+            consume[transition] = k * c
+        for symbol, n in p._entries.items():
+            produce[symbol] = produce.get(symbol, 0) + k * n
+    if (max(consume.values(), default=0) > COUNT_MAX
+            or max(produce.values(), default=0) > COUNT_MAX):
+        return _span_by_steps(policy, trace.steps)
+    return AffineSpan(_wrap(consume) if consume else EMPTY,
+                      _wrap(produce) if produce else EMPTY)
+
+
+def _span_by_steps(policy: ManaPolicy, steps) -> AffineSpan:
+    # Compose one firing span at a time; raises where a step goes wrong.
+    span = AffineSpan.identity()
+    for transition in steps:
         span = compose_spans(span, span_of_transition(policy, transition))
     return span
 

@@ -251,12 +251,12 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     supplied net morphisms. Inconclusive trace comparisons fail the check
     conservatively and are reported as such.
 
-    Each construction is built once per call. The build of `net`, its
-    double build, its counit and its comultiplication serve the three
-    comonad laws and the source side of both naturality squares for
-    every morphism out of `net` (or out of an equal net). Per morphism
-    only the target side is built; a morphism out of another net has
-    its source side built from that net.
+    Each distinct morphism is checked once: a morphism equal to an
+    earlier one gives the same squares, so it cannot change the report,
+    which names the first failing morphism by its index. Each distinct
+    net is built once per call: its build, double build, counit and
+    comultiplication serve the comonad laws (for `net`) and every
+    naturality square whose source or target equals it.
     """
     problems = validate_net(net)
     if problems:
@@ -300,13 +300,22 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
     counit_witness = None
     delta_verdict: bool | None = True
     delta_witness = None
-    checked = 0
+    sides = {_net_key(net): shared}
+    seen = set()
     for index, morphism in enumerate(morphisms):
-        checked += 1
+        source_key, target_key = _net_key(morphism.source), _net_key(morphism.target)
+        key = (source_key, target_key, frozenset(morphism.transition_map.items()),
+               frozenset(morphism.place_map.items()))
+        if key in seen:
+            continue
+        seen.add(key)
         functor = functor_of_net_morphism(morphism)
-        smn, sdd, s_eps, s_delta = (shared if morphism.source == net
-                                    else _built_side(morphism.source))
-        tmn, tdd, t_eps, t_delta = _built_side(morphism.target)
+        if source_key not in sides:
+            sides[source_key] = _built_side(morphism.source)
+        smn, sdd, s_eps, s_delta = sides[source_key]
+        if target_key not in sides:
+            sides[target_key] = _built_side(morphism.target)
+        tmn, tdd, t_eps, t_delta = sides[target_key]
         lifted = lift_functor(functor, source_mana=smn, target_mana=tmn)
 
         lhs = compose_functors(t_eps, lifted)
@@ -321,11 +330,18 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
         verdict, witness = compare_functors(lhs, rhs)
         delta_verdict, delta_witness = _merge(delta_verdict, delta_witness,
                                               verdict, witness, index)
-    if checked == 0:
+    if not seen:
         return [LawResult("counit-naturality", "pass"),
                 LawResult("comultiplication-naturality", "pass")]
     return [law_result("counit-naturality", counit_verdict, counit_witness),
             law_result("comultiplication-naturality", delta_verdict, delta_witness)]
+
+
+def _net_key(net: Net) -> tuple:
+    # Equal nets have equal keys: Net and NetMorphism hold dicts, so they
+    # cannot be hashed themselves.
+    return (net.places, net.transitions, frozenset(net.pre.items()),
+            frozenset(net.post.items()))
 
 
 def _merge(acc_verdict, acc_witness, verdict, witness, index):

@@ -144,8 +144,11 @@ class Multiset:
     def __le__(self, other: Multiset) -> bool:
         if not isinstance(other, Multiset):
             return NotImplemented
-        return all(count <= other._entries.get(symbol, 0)
-                   for symbol, count in self._entries.items())
+        theirs = other._entries
+        for symbol, count in self._entries.items():
+            if count > theirs.get(symbol, 0):
+                return False
+        return True
 
     def __ge__(self, other: Multiset) -> bool:
         if not isinstance(other, Multiset):

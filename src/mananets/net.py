@@ -122,6 +122,24 @@ def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Mul
     Multiset({'P': 2})
     """
     counts: dict[str, int] = {}
+    for symbol, count in m._entries.items():
+        if symbol not in mapping:
+            return _lift_in_order(mapping, m)
+        image = mapping[symbol]
+        pairs = ((image, 1),) if isinstance(image, str) else image._entries.items()
+        for target, k in pairs:
+            total = counts.get(target, 0) + count * k
+            if total > COUNT_MAX:
+                return _lift_in_order(mapping, m)
+            counts[target] = total
+    return _wrap(counts) if counts else EMPTY
+
+
+def _lift_in_order(mapping: Mapping[str, str | Multiset], m: Multiset) -> Multiset:
+    # The same sum taken in symbol order, raising the first error in that
+    # order: an unknown symbol or an overflowing scaled image anywhere is
+    # reported before a sum overflow.
+    counts: dict[str, int] = {}
     overflow = None
     for symbol, count in m.items():
         if symbol not in mapping:
@@ -134,8 +152,6 @@ def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Mul
                 raise CountOverflowError(target, scaled)
             total = counts.get(target, 0) + scaled
             if total > COUNT_MAX and overflow is None:
-                # Raised after the loop: an unknown symbol or an overflowing
-                # scaled image anywhere is reported before a sum overflow.
                 overflow = CountOverflowError(target, total)
             counts[target] = total
     if overflow is not None:

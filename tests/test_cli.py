@@ -258,6 +258,14 @@ def test_golden_output(capsys, name, argv):
     assert out == (DATA / f"{name}.{argv[0]}.json").read_bytes().decode("utf-8")
 
 
+def test_golden_check_laws_with_repeated_morphisms(capsys):
+    """25 samples at seed 7 draw 19 distinct morphisms out of the loop net."""
+    code, out, err = run(capsys, "check-laws", str(DATA / "loop.json"),
+                         "--samples", "25", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "loop.check-laws-25.json").read_bytes().decode("utf-8")
+
+
 DANGLING_DOC = ('{"places": ["A"], "transitions": {"u": {"pre": {"B": 1}, "post": {}}}, '
                 '"marking": {"A": 1}}')
 
@@ -275,6 +283,28 @@ def test_malformed_net_is_document_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == "mananets: net is not well formed: unknown-place B (pre of u)\n"
+
+
+@pytest.mark.parametrize("suffix, text, where", [
+    (".json", '{"places": ["A"], "transitions": {"u": {"pre": {"A": 1}, "post": {}}}, '
+              '"mana": {"u": {"consume": 9223372036854775808}}, "marking": {"A": 1}}',
+     "at $.mana.u.consume"),
+    (".crn", "u: A -> 0 mana: consume 9223372036854775808\nmarking: A\n",
+     "at line 1, col 25"),
+], ids=["json", "dsl"])
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--depth", "2", "--max-tokens", "3"],
+    ["internalize"],
+    ["check-laws", "--samples", "2"],
+    ["run", "--mana", "--steps", "2"],
+    ["validate"],
+])
+def test_oversized_consume_is_document_error(capsys, tmp_path, suffix, text, where, argv):
+    path = tmp_path / f"big{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"mananets: 'consume' exceeds the bound: 9223372036854775808 {where}\n"
 
 
 def outcome(capsys, argv):

@@ -6,6 +6,7 @@ from mananets import (EMPTY, DocumentError, ManaPolicy, Multiset, Net,
                       emit_json, parse_document, parse_json,
                       parse_reaction_dsl, validate_net)
 from mananets.documents import NetDocument
+from mananets.multiset import COUNT_MAX
 
 ATP_JSON = """\
 {
@@ -114,6 +115,18 @@ def test_consume_zero_allowed():
                      '{"u": {"pre": {}, "post": {}}}, '
                      '"mana": {"u": {"consume": 0}}}')
     assert doc.policy.consume["u"] == 0
+
+
+def test_consume_at_the_count_bound_allowed_and_above_rejected():
+    def document(consume):
+        return ('{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, '
+                f'"mana": {{"u": {{"consume": {consume}}}}}}}')
+
+    assert parse_json(document(COUNT_MAX)).policy.consume["u"] == COUNT_MAX
+    with pytest.raises(DocumentError) as err:
+        parse_json(document(COUNT_MAX + 1))
+    assert err.value.path == "$.mana.u.consume"
+    assert "exceeds the bound" in err.value.message
 
 
 def test_explicit_empty_pool_is_preserved():
@@ -279,3 +292,12 @@ def test_dsl_bare_zero_is_still_the_empty_side():
     assert doc.net.post["v"] == EMPTY
     assert doc.marking == EMPTY
     assert doc.net.places == ("Z",)
+
+
+def test_dsl_consume_above_the_count_bound_rejected():
+    doc = parse_reaction_dsl(f"u: A -> B mana: consume {COUNT_MAX}")
+    assert doc.policy.consume["u"] == COUNT_MAX
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl(f"a: A -> B\nu: A -> B mana: consume {COUNT_MAX + 1}")
+    assert (err.value.line, err.value.col) == (2, 25)
+    assert "exceeds the bound" in err.value.message

@@ -9,6 +9,8 @@ from mananets import (EMPTY, AffineSpan, ManaPolicy, ManaState, Multiset,
                       check_laxator_naturality, compose_spans, laxator,
                       mana_enabled, mana_fire, mana_reach, mana_simulate,
                       occurrence_multiset, span_of_trace, span_of_transition)
+from mananets.errors import CountOverflowError, UnknownSymbolError
+from mananets.multiset import COUNT_MAX
 from mananets.sampling import random_marking, random_net, random_policy, random_trace
 
 pools = st.dictionaries(st.sampled_from(["u", "v", "w"]), st.integers(1, 5),
@@ -88,6 +90,73 @@ def test_span_decomposes_over_occurrences(seed):
         count * Multiset({t: policy.consume[t]}) for t, count in occurrences.items())
     assert span.produce == Multiset.sum(
         count * policy.produce[t] for t, count in occurrences.items())
+
+
+# -- one pass over occurrence counts against the step-by-step fold ----------
+
+
+def reference_span_of_trace(policy, trace):
+    """The span as a fold of one firing span per step."""
+    span = AffineSpan.identity()
+    for transition in trace.steps:
+        span = compose_spans(span, span_of_transition(policy, transition))
+    return span
+
+
+def span_outcome(policy, trace, span_fn):
+    try:
+        return "ok", span_fn(policy, trace)
+    except Exception as err:  # the error itself is what is compared
+        return (type(err), getattr(err, "symbol", None), getattr(err, "count", None),
+                str(err))
+
+
+small_counts = st.integers(1, 3)
+big_counts = st.integers(COUNT_MAX // 3, COUNT_MAX)
+consume_counts = st.one_of(st.just(0), small_counts, small_counts, big_counts,
+                           st.just(COUNT_MAX + 1),
+                           st.sampled_from([-1, True, 1.0, None, "1"]))
+produce_maps = st.dictionaries(st.sampled_from(["a", "b", "c", "x", "y"]),
+                               st.one_of(small_counts, small_counts, small_counts, big_counts),
+                               max_size=3).map(Multiset)
+
+
+@st.composite
+def policies_and_traces(draw):
+    """Policies that may lack or garble entries, and steps they may not know."""
+    consume = draw(st.dictionaries(st.sampled_from("abc"), consume_counts,
+                                   min_size=1, max_size=3))
+    produce = {t: draw(produce_maps) for t in consume if draw(st.integers(0, 9))}
+    steps = draw(st.lists(st.sampled_from(sorted(consume)), max_size=8))
+    if draw(st.sampled_from([False, False, False, True])):
+        steps.insert(draw(st.integers(0, len(steps))), "d")
+    return ManaPolicy(consume, produce), Trace(None, EMPTY, tuple(steps))
+
+
+@given(policies_and_traces())
+def test_span_of_trace_matches_the_fold(policy_and_trace):
+    policy, trace = policy_and_trace
+    assert (span_outcome(policy, trace, span_of_trace)
+            == span_outcome(policy, trace, reference_span_of_trace))
+
+
+HALF = COUNT_MAX // 2 + 1
+
+
+@pytest.mark.parametrize("steps, consume, produce, error", [
+    # the sum overflows at step 1, before the unknown step 2
+    (("a", "a", "d"), {"a": HALF}, {}, (CountOverflowError, "a", 2 * HALF)),
+    (("d", "a", "a"), {"a": HALF}, {}, (UnknownSymbolError, "d", None)),
+    (("a", "b", "a"), {"a": 1, "b": -1}, {}, (ValueError, None, None)),
+    (("a", "b", "a"), {"a": 1, "b": 0}, {"a": {"x": HALF}, "b": {"y": 1, "x": HALF}},
+     (CountOverflowError, "x", 2 * HALF)),
+])
+def test_span_of_trace_raises_at_the_first_offending_step(steps, consume, produce, error):
+    policy = ManaPolicy(consume, {t: Multiset(produce.get(t, {})) for t in consume})
+    trace = Trace(None, EMPTY, steps)
+    got = span_outcome(policy, trace, span_of_trace)
+    assert got == span_outcome(policy, trace, reference_span_of_trace)
+    assert got[:3] == error
 
 
 def test_mana_enabled_with_budget(abc_net, plain, ms):

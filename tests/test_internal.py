@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from mananets import (EMPTY, ManaPolicy, Multiset, NameClashError, Net,
+from mananets import (EMPTY, ManaPolicy, Multiset, NameClashError, Net, NetMorphism,
                       PolicyError, Trace, apply_functor,
                       apply_functor_to_marking, check_comonad_laws,
                       compose_functors, comultiplication, counit,
@@ -342,3 +342,92 @@ def test_faulty_counit_on_the_source_fails_every_square_it_serves(loop_net, monk
         {"law": "comultiplication-naturality", "status": "pass"},
     ]
     assert got == reference_comonad_laws(loop_net, morphisms)
+
+
+# -- repeated morphisms and nets ------------------------------------------------
+
+
+def faulty_comultiplication_on(bad_net, monkeypatch):
+    """Make comultiplication drop the outer copy of the first mana place of `bad_net`."""
+    real = internal._comultiplication
+
+    def faulty(mn, double):
+        functor = real(mn, double)
+        if mn.base != bad_net or not mn.base.transitions:
+            return functor
+        object_map = dict(functor.object_map)
+        inner = mn.mana_place_of[mn.base.transitions[0]]
+        object_map[inner] = Multiset({inner: 1})
+        return PresentedFunctor(functor.source, functor.target, object_map,
+                                functor.morphism_map)
+
+    monkeypatch.setattr(internal, "_comultiplication", faulty)
+
+
+def equal_copy(net):
+    return Net(tuple(net.places), tuple(net.transitions), dict(net.pre), dict(net.post))
+
+
+def repeating_morphisms(rng, net):
+    """Morphisms that repeat: the same object twice, an equal copy, an equal
+    target under other maps, and a repeated morphism out of another net.
+
+    The remapped morphisms need not commute with the arcs, so their
+    squares may fail; one of them maps into a net that differs from an
+    earlier target only in its post-sets.
+    """
+    other = random_net(rng)
+    first = random_net_morphism(rng, net)
+    out_of_other = random_net_morphism(rng, other)
+    copy = NetMorphism(equal_copy(net), equal_copy(first.target),
+                       dict(first.transition_map), dict(first.place_map))
+    target = first.target
+    transition_map = {t: rng.choice(target.transitions) for t in net.transitions}
+    place_map = {p: rng.choice(target.places) for p in net.places}
+    remapped = NetMorphism(net, equal_copy(target), transition_map, place_map)
+    other_post = Net(target.places, target.transitions, target.pre, target.pre)
+    into_other_post = NetMorphism(net, other_post, transition_map, place_map)
+    return [first, out_of_other, random_net_morphism(rng, net), first, copy,
+            remapped, out_of_other, random_net_morphism(rng, other), remapped,
+            into_other_post]
+
+
+def distinct(items):
+    found = []
+    for item in items:
+        if item not in found:
+            found.append(item)
+    return found
+
+
+FAULTS = {"clean": None, "counit": faulty_counit_on,
+          "comultiplication": faulty_comultiplication_on}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("seed", range(12))
+def test_repeated_morphisms_match_reference(seed, fault, monkeypatch):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    morphisms = repeating_morphisms(rng, net)
+    if FAULTS[fault] is not None:
+        bad = rng.choice([net] + [m.target for m in morphisms] + [morphisms[1].source])
+        FAULTS[fault](bad, monkeypatch)
+    built, checked = [], []
+    real_built_side = internal._built_side
+    real_functor_of = internal.functor_of_net_morphism
+
+    def counting_built_side(side_net):
+        built.append(side_net)
+        return real_built_side(side_net)
+
+    def counting_functor_of(morphism):
+        checked.append(morphism)
+        return real_functor_of(morphism)
+
+    monkeypatch.setattr(internal, "_built_side", counting_built_side)
+    monkeypatch.setattr(internal, "functor_of_net_morphism", counting_functor_of)
+    got = check_comonad_laws(net, morphisms).to_json_list()
+    assert checked == distinct(morphisms)
+    assert built == distinct([net] + [side for m in morphisms for side in (m.source, m.target)])
+    assert got == reference_comonad_laws(net, morphisms)

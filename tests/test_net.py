@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net,
@@ -94,8 +94,21 @@ lift_images = st.one_of(
     st.dictionaries(lift_targets, lift_counts, max_size=3).map(Multiset))
 
 
+# Multisets built from pairs keep the drawn order, so the unsorted walk of
+# the lift meets their symbols out of symbol order.
+unsorted_multisets = st.lists(st.tuples(st.sampled_from("ABCDE"), lift_counts),
+                              unique_by=lambda pair: pair[0], max_size=5).map(Multiset)
+
+
 @given(st.dictionaries(st.sampled_from("ABCD"), lift_images, max_size=4),
-       st.dictionaries(st.sampled_from("ABCDE"), lift_counts, max_size=5).map(Multiset))
+       unsorted_multisets)
+# a scaled overflow, then a sum overflow, met before an unknown "A"
+@example({"B": Multiset({"P": COUNT_MAX})}, Multiset([("B", 2), ("A", 1)]))
+@example({"C": Multiset({"P": COUNT_MAX}), "B": "P"},
+         Multiset([("C", 1), ("B", 1), ("A", 1)]))
+# a sum overflow on "Q" met before a scaled overflow on "P" that sorts first
+@example({"A": Multiset({"P": COUNT_MAX}), "C": "Q", "D": Multiset({"Q": COUNT_MAX})},
+         Multiset([("C", 1), ("D", 1), ("A", 2)]))
 def test_lift_matches_parts_and_sum(mapping, m):
     assert lift_outcome(lift_multiset_map, mapping, m) == lift_outcome(reference_lift, mapping, m)
 

@@ -155,6 +155,9 @@ def _parse_multiset(raw, path: str) -> Multiset:
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise DocumentError("counts must be positive integers",
                                 path=f"{path}.{symbol}")
+        if count > COUNT_MAX:
+            raise DocumentError(f"count for {symbol!r} exceeds the bound: {count}",
+                                path=f"{path}.{symbol}")
         counts[symbol] = count
     return Multiset(counts)
 
@@ -264,12 +267,23 @@ class _Scanner:
         return self.index >= len(self.tokens)
 
 
+def _add_count(counts: dict[str, int], symbol: str, count: int, line: int, col: int):
+    """Add to a count being parsed; a total past the bound names its term."""
+    total = counts.get(symbol, 0) + count
+    if total > COUNT_MAX:
+        raise DocumentError(f"count for {symbol!r} exceeds the bound: {total}",
+                            line=line, col=col)
+    counts[symbol] = total
+
+
 def _parse_side(scanner: _Scanner) -> Multiset:
     counts: dict[str, int] = {}
     while True:
         coefficient = 1
         token = scanner.peek()
+        term = None
         if token is not None and token[0] == "nat":
+            term = token
             scanner.next()
             coefficient = int(token[1])
             if coefficient == 0:
@@ -283,7 +297,7 @@ def _parse_side(scanner: _Scanner) -> Multiset:
                 raise DocumentError(f"zero coefficient before {follower[1]!r}",
                                     line=scanner.line, col=token[2])
         name = scanner.expect("name")
-        counts[name[1]] = counts.get(name[1], 0) + coefficient
+        _add_count(counts, name[1], coefficient, scanner.line, (term or name)[2])
         follower = scanner.peek()
         if follower is not None and follower[0] == "sym" and follower[1] == "+":
             scanner.next()
@@ -299,7 +313,7 @@ def _parse_produce(scanner: _Scanner) -> Multiset:
         name = scanner.expect("name")
         scanner.expect("sym", ":")
         count = scanner.expect("nat")
-        counts[name[1]] = counts.get(name[1], 0) + int(count[1])
+        _add_count(counts, name[1], int(count[1]), scanner.line, count[2])
         token = scanner.peek()
         if token is not None and token[0] == "sym" and token[1] == ",":
             scanner.next()
@@ -358,7 +372,7 @@ def parse_reaction_dsl(text: str) -> NetDocument:
                 if name[1] in counts:
                     raise DocumentError(f"duplicate pool entry {name[1]!r}",
                                         line=lineno, col=name[2])
-                counts[name[1]] = int(count[1])
+                _add_count(counts, name[1], int(count[1]), lineno, count[2])
                 pool_sites[name[1]] = (lineno, name[2])
             pool = Multiset(counts)
             continue

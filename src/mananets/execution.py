@@ -100,10 +100,15 @@ def concat_traces(first: Trace, second: Trace) -> Trace:
 
 def occurrence_multiset(trace: Trace) -> Multiset:
     """How many times each transition occurs in the firing sequence."""
+    return Multiset(occurrence_counts(trace.steps))
+
+
+def occurrence_counts(steps) -> dict[str, int]:
+    """``{transition: count}`` for a firing sequence, in first-occurrence order."""
     counts: dict[str, int] = {}
-    for transition in trace.steps:
+    for transition in steps:
         counts[transition] = counts.get(transition, 0) + 1
-    return Multiset(counts)
+    return counts
 
 
 def trace_equivalent(t1: Trace, t2: Trace,

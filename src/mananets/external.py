@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NotManaEnabledError, UnknownSymbolError
 from .execution import (ReachGraph, TokenGame, Trace, _segment_key, enabled, fire,
-                        replay)
+                        occurrence_counts, replay)
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
@@ -85,9 +85,23 @@ def span_of_trace(policy: ManaPolicy, trace: Trace) -> AffineSpan:
     reported by composing step by step, so the error is the one the
     first offending step raises.
     """
-    occurrences: dict[str, int] = {}
-    for transition in trace.steps:
-        occurrences[transition] = occurrences.get(transition, 0) + 1
+    return _span(policy, occurrence_counts(trace.steps), trace.steps)
+
+
+def _span(policy: ManaPolicy, occurrences: dict[str, int], steps) -> AffineSpan:
+    # The span of `steps`, whose occurrence counts are `occurrences`.
+    span = _span_of_counts(policy, occurrences)
+    return _span_by_steps(policy, steps) if span is None else span
+
+
+def _span_of_counts(policy: ManaPolicy, occurrences: dict[str, int]) -> AffineSpan | None:
+    """The span of any trace with these occurrence counts.
+
+    None when a policy entry is missing or malformed (consume not a plain
+    non-negative int, produce not a ``Multiset``) or a total passes
+    ``COUNT_MAX``; the caller then composes step by step. The counts are
+    only read.
+    """
     consume_of, produce_of = policy.consume, policy.produce
     consume: dict[str, int] = {}
     produce: dict[str, int] = {}
@@ -95,14 +109,14 @@ def span_of_trace(policy: ManaPolicy, trace: Trace) -> AffineSpan:
         c = consume_of.get(transition)
         p = produce_of.get(transition)
         if type(c) is not int or c < 0 or type(p) is not Multiset:
-            return _span_by_steps(policy, trace.steps)
+            return None
         if c:
             consume[transition] = k * c
         for symbol, n in p._entries.items():
             produce[symbol] = produce.get(symbol, 0) + k * n
     if (max(consume.values(), default=0) > COUNT_MAX
             or max(produce.values(), default=0) > COUNT_MAX):
-        return _span_by_steps(policy, trace.steps)
+        return None
     return AffineSpan(_wrap(consume) if consume else EMPTY,
                       _wrap(produce) if produce else EMPTY)
 
@@ -236,13 +250,23 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
 
     composition_witness = None
     for index, trace in enumerate(sample_traces):
+        steps = trace.steps
         whole = span_of_trace(policy, trace)
-        markings = replay(trace)
-        for cut in range(len(trace.steps) + 1):
-            head = Trace(net, trace.initial, trace.steps[:cut])
-            tail = Trace(net, markings[cut], trace.steps[cut:])
-            glued = compose_spans(span_of_trace(policy, head),
-                                  span_of_trace(policy, tail))
+        replay(trace)  # an invalid trace still raises NotEnabledError
+        # Occurrence counts of the head steps[:cut] and the tail
+        # steps[cut:], moved along one step per cut.
+        head: dict[str, int] = {}
+        tail = occurrence_counts(steps)
+        for cut in range(len(steps) + 1):
+            if cut:
+                moved = steps[cut - 1]
+                head[moved] = head.get(moved, 0) + 1
+                if tail[moved] == 1:
+                    del tail[moved]
+                else:
+                    tail[moved] -= 1
+            glued = compose_spans(_span(policy, head, steps[:cut]),
+                                  _span(policy, tail, steps[cut:]))
             if glued != whole:
                 composition_witness = {"sample": index, "cut": cut,
                                        "whole": _span_dict(whole),

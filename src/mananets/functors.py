@@ -6,6 +6,21 @@ trace for each source transition. Composition and equality therefore
 reduce to computations on these generator images; trace images are
 compared with :func:`~mananets.execution.trace_equivalent`, whose
 inconclusive answer propagates.
+
+The algebra runs on one internal generator form, a :class:`GeneratorForm`:
+an object map ``place -> {target symbol: count}`` (a matrix over the
+naturals) and a morphism map ``transition -> (start counts, steps)``.
+Composition lifts counts through the outer object map and concatenates
+the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
+1990); comparison checks the object maps for equality and hands each
+pair of transition images to ``trace_equivalent`` as traces built for
+that call only. :class:`PresentedFunctor` is the boundary type: the
+public functions convert to the form on the way in (:func:`_to_form`)
+and back on the way out (:func:`_present`), and
+:func:`~mananets.internal.check_comonad_laws` stays on the form
+throughout. An image trace is read on the functor's target net; one that
+lives elsewhere is a malformed presentation, which
+:func:`validate_functor` reports as ``wrong-net``.
 """
 
 from __future__ import annotations
@@ -14,8 +29,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .execution import Trace, run_trace, trace_equivalent
-from .multiset import Multiset
-from .net import Net, NetMorphism, Violation, lift_multiset_map, validate_net
+from .multiset import EMPTY, Multiset, _wrap
+from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
 
 @dataclass(frozen=True)
@@ -32,23 +47,73 @@ class PresentedFunctor:
         object.__setattr__(self, "morphism_map", dict(self.morphism_map))
 
 
-def identity_functor(net: Net) -> PresentedFunctor:
+class GeneratorForm:
+    """A presented functor as plain data, the form the functor algebra runs on.
+
+    `objects` maps each source place to a ``{target place: count}`` dict
+    and `morphisms` each source transition to ``(start counts, steps)``,
+    the image trace's initial marking and firing sequence on `target`.
+    Count dicts hold no zeros and are never mutated, so they may be
+    shared with the ``Multiset`` values they came from.
+    """
+
+    __slots__ = ("source", "target", "objects", "morphisms")
+
+    def __init__(self, source: Net, target: Net, objects: dict, morphisms: dict):
+        self.source = source
+        self.target = target
+        self.objects = objects
+        self.morphisms = morphisms
+
+
+def _multiset(counts: dict) -> Multiset:
+    return _wrap(counts) if counts else EMPTY
+
+
+def _to_form(functor: PresentedFunctor) -> GeneratorForm:
+    """The generator form of a presented functor (shares its count dicts)."""
+    return GeneratorForm(
+        functor.source, functor.target,
+        {p: image._entries for p, image in functor.object_map.items()},
+        {t: (image.initial._entries, image.steps)
+         for t, image in functor.morphism_map.items()},
+    )
+
+
+def _present(form: GeneratorForm) -> PresentedFunctor:
+    """The presented functor of a generator form, its images on the target."""
+    target = form.target
     return PresentedFunctor(
-        net, net,
-        {p: Multiset({p: 1}) for p in net.places},
-        {t: Trace(net, net.pre[t], (t,)) for t in net.transitions},
+        form.source, target,
+        {p: _multiset(image) for p, image in form.objects.items()},
+        {t: Trace(target, _multiset(start), steps)
+         for t, (start, steps) in form.morphisms.items()},
+    )
+
+
+def _identity_form(net: Net) -> GeneratorForm:
+    return GeneratorForm(net, net, {p: {p: 1} for p in net.places},
+                         {t: (net.pre[t]._entries, (t,)) for t in net.transitions})
+
+
+def identity_functor(net: Net) -> PresentedFunctor:
+    return _present(_identity_form(net))
+
+
+def _morphism_form(morphism: NetMorphism) -> GeneratorForm:
+    tgt = morphism.target
+    place_map, transition_map = morphism.place_map, morphism.transition_map
+    return GeneratorForm(
+        morphism.source, tgt,
+        {p: {place_map[p]: 1} for p in morphism.source.places},
+        {t: (tgt.pre[transition_map[t]]._entries, (transition_map[t],))
+         for t in morphism.source.transitions},
     )
 
 
 def functor_of_net_morphism(morphism: NetMorphism) -> PresentedFunctor:
     """The functor induced by a net morphism: relabel places, fire images."""
-    tgt = morphism.target
-    return PresentedFunctor(
-        morphism.source, tgt,
-        {p: Multiset({morphism.place_map[p]: 1}) for p in morphism.source.places},
-        {t: Trace(tgt, tgt.pre[morphism.transition_map[t]], (morphism.transition_map[t],))
-         for t in morphism.source.transitions},
-    )
+    return _present(_morphism_form(morphism))
 
 
 def apply_functor_to_marking(functor: PresentedFunctor, marking: Multiset) -> Multiset:
@@ -56,31 +121,43 @@ def apply_functor_to_marking(functor: PresentedFunctor, marking: Multiset) -> Mu
     return lift_multiset_map(functor.object_map, marking)
 
 
-def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
-    """Image of a trace: lift the initial marking, replace each firing.
+def _apply(form: GeneratorForm, start: dict, steps: tuple) -> tuple[dict, tuple]:
+    """Image of a trace given as start counts and steps.
 
     Every occurrence of a transition is replaced by (a copy of) its image
     firing sequence; extra ambient tokens never disable a firing, so the
     result replays whenever the input does.
     """
-    initial = apply_functor_to_marking(functor, trace.initial)
-    steps: list[str] = []
-    for transition in trace.steps:
-        if transition not in functor.morphism_map:
+    start = lift_counts(form.objects, start)
+    images = form.morphisms
+    out: list[str] = []
+    for transition in steps:
+        if transition not in images:
             raise KeyError(f"functor has no image for transition {transition!r}")
-        steps.extend(functor.morphism_map[transition].steps)
-    return Trace(functor.target, initial, tuple(steps))
+        out.extend(images[transition][1])
+    return start, tuple(out)
+
+
+def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
+    """Image of a trace: lift the initial marking, replace each firing."""
+    start, steps = _apply(_to_form(functor), trace.initial._entries, trace.steps)
+    return Trace(functor.target, _multiset(start), steps)
+
+
+def _compose_forms(outer: GeneratorForm, inner: GeneratorForm) -> GeneratorForm:
+    if inner.target != outer.source:
+        raise ValueError("functors are not composable: target/source nets differ")
+    images = outer.objects
+    return GeneratorForm(
+        inner.source, outer.target,
+        {p: lift_counts(images, image) for p, image in inner.objects.items()},
+        {t: _apply(outer, start, steps) for t, (start, steps) in inner.morphisms.items()},
+    )
 
 
 def compose_functors(outer: PresentedFunctor, inner: PresentedFunctor) -> PresentedFunctor:
     """Composite presentation (inner first, then outer)."""
-    if inner.target != outer.source:
-        raise ValueError("functors are not composable: target/source nets differ")
-    return PresentedFunctor(
-        inner.source, outer.target,
-        {p: apply_functor_to_marking(outer, image) for p, image in inner.object_map.items()},
-        {t: apply_functor(outer, image) for t, image in inner.morphism_map.items()},
-    )
+    return _present(_compose_forms(_to_form(outer), _to_form(inner)))
 
 
 def validate_functor(functor: PresentedFunctor) -> list[Violation]:
@@ -121,6 +198,35 @@ def validate_functor(functor: PresentedFunctor) -> list[Violation]:
     return out
 
 
+def _sorted(counts: dict) -> dict:
+    return dict(sorted(counts.items()))
+
+
+def _compare_forms(left: GeneratorForm, right: GeneratorForm,
+                   bound: int = 8) -> tuple[bool | None, dict | None]:
+    if left.source != right.source or left.target != right.target:
+        return False, {"kind": "boundary", "detail": "source or target nets differ"}
+    for p in left.source.places:
+        a, b = left.objects[p], right.objects[p]
+        if a != b:
+            return False, {"kind": "object", "generator": p,
+                           "left": _sorted(a), "right": _sorted(b)}
+    verdict: bool | None = True
+    for t in left.source.transitions:
+        (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
+        same = trace_equivalent(Trace(left.target, _multiset(a_start), a_steps),
+                                Trace(right.target, _multiset(b_start), b_steps), bound)
+        if same is False:
+            return False, {"kind": "morphism", "generator": t,
+                           "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
+                           "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}
+        if same is None:
+            verdict = None
+    if verdict is None:
+        return None, {"kind": "morphism", "detail": "trace comparison inconclusive"}
+    return True, None
+
+
 def compare_functors(left: PresentedFunctor, right: PresentedFunctor,
                      bound: int = 8) -> tuple[bool | None, dict | None]:
     """Generator-wise equality with a witness for the first mismatch.
@@ -129,26 +235,7 @@ def compare_functors(left: PresentedFunctor, right: PresentedFunctor,
     None (inconclusive trace comparison) and the witness names the
     offending generator.
     """
-    if left.source != right.source or left.target != right.target:
-        return False, {"kind": "boundary", "detail": "source or target nets differ"}
-    for p in left.source.places:
-        if left.object_map[p] != right.object_map[p]:
-            return False, {"kind": "object", "generator": p,
-                           "left": left.object_map[p].as_dict(),
-                           "right": right.object_map[p].as_dict()}
-    verdict: bool | None = True
-    for t in left.source.transitions:
-        a, b = left.morphism_map[t], right.morphism_map[t]
-        same = trace_equivalent(a, b, bound)
-        if same is False:
-            return False, {"kind": "morphism", "generator": t,
-                           "left": {"initial": a.initial.as_dict(), "steps": list(a.steps)},
-                           "right": {"initial": b.initial.as_dict(), "steps": list(b.steps)}}
-        if same is None:
-            verdict = None
-    if verdict is None:
-        return None, {"kind": "morphism", "detail": "trace comparison inconclusive"}
-    return True, None
+    return _compare_forms(_to_form(left), _to_form(right), bound)
 
 
 def functors_equal(left: PresentedFunctor, right: PresentedFunctor,

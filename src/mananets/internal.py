@@ -9,6 +9,15 @@ execution categories: the counit erases the mana layer, the
 comultiplication duplicates it. :func:`check_comonad_laws` verifies the
 comonad equations generator-wise, which is complete because the
 categories involved are free.
+
+The comonad structure is built in the generator form of
+:mod:`mananets.functors` (count dicts and step tuples):
+:func:`_counit_form`, :func:`_comultiplication_form` and
+:func:`_lift_form` are the one implementation of each construction, and
+:func:`check_comonad_laws` composes and compares their results without
+leaving that form. :func:`counit`, :func:`comultiplication` and
+:func:`lift_functor` are the boundary: they return
+:class:`~mananets.functors.PresentedFunctor` values built from the form.
 """
 
 from __future__ import annotations
@@ -17,11 +26,11 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import NameClashError, PolicyError
-from .execution import Trace, occurrence_multiset
-from .functors import (PresentedFunctor, compare_functors, compose_functors,
-                       functor_of_net_morphism, identity_functor)
-from .multiset import EMPTY, Multiset
-from .net import Net, NetMorphism, lift_multiset_map, validate_net
+from .execution import occurrence_counts
+from .functors import (GeneratorForm, PresentedFunctor, _compare_forms, _compose_forms,
+                       _identity_form, _morphism_form, _present, _to_form)
+from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
+from .net import Net, NetMorphism, lift_counts, lift_multiset_map, validate_net
 from .reports import LawReport, LawResult, law_result
 
 #: Prefix used for generated mana place names.
@@ -141,9 +150,19 @@ def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
     pre = {}
     post = {}
     for t in net.transitions:
-        own = Multiset({mana_place_of[t]: policy.consume[t]})
-        pre[t] = net.pre[t] + own
-        post[t] = net.post[t] + lift_multiset_map(mana_place_of, policy.produce[t])
+        name = mana_place_of[t]
+        consume, produce = policy.consume[t], policy.produce[t]
+        if type(consume) is int and consume <= COUNT_MAX and type(produce) is Multiset:
+            # Mana places are fresh and named apart, so the arcs only gain
+            # new keys: no count can pass the bound or meet an unknown name.
+            pre[t] = _wrap({**net.pre[t]._entries, name: consume}) if consume else net.pre[t]
+            post[t] = _wrap({**net.post[t]._entries,
+                             **{mana_place_of[s]: k for s, k in produce._entries.items()}}
+                            ) if produce else net.post[t]
+        else:
+            # Let Multiset arithmetic raise what an odd entry deserves.
+            pre[t] = net.pre[t] + Multiset({name: consume})
+            post[t] = net.post[t] + lift_multiset_map(mana_place_of, produce)
     built = Net(
         net.places + tuple(mana_place_of[t] for t in net.transitions),
         net.transitions,
@@ -183,14 +202,18 @@ def iterated_construction(mn: ManaNet) -> ManaNet:
     return _construct(built, ManaPolicy.plain(built), lambda t: prefix + t)
 
 
+def _counit_form(mn: ManaNet) -> GeneratorForm:
+    base = mn.base
+    objects = {p: {p: 1} for p in base.places}
+    for t in base.transitions:
+        objects[mn.mana_place_of[t]] = {}
+    morphisms = {t: (base.pre[t]._entries, (t,)) for t in base.transitions}
+    return GeneratorForm(mn.built, base, objects, morphisms)
+
+
 def counit(mn: ManaNet) -> PresentedFunctor:
     """Erase the mana layer: mana places map to nothing, firings to themselves."""
-    base = mn.base
-    object_map: dict[str, Multiset] = {p: Multiset({p: 1}) for p in base.places}
-    for t in base.transitions:
-        object_map[mn.mana_place_of[t]] = EMPTY
-    morphism_map = {t: Trace(base, base.pre[t], (t,)) for t in base.transitions}
-    return PresentedFunctor(mn.built, base, object_map, morphism_map)
+    return _present(_counit_form(mn))
 
 
 def comultiplication(mn: ManaNet) -> PresentedFunctor:
@@ -201,20 +224,19 @@ def comultiplication(mn: ManaNet) -> PresentedFunctor:
     """
     if not mn.policy.is_plain():
         raise PolicyError("comultiplication requires the plain policy")
-    return _comultiplication(mn, iterated_construction(mn))
+    return _present(_comultiplication_form(mn, iterated_construction(mn)))
 
 
-def _comultiplication(mn: ManaNet, double: ManaNet) -> PresentedFunctor:
+def _comultiplication_form(mn: ManaNet, double: ManaNet) -> GeneratorForm:
     # `double` must be iterated_construction(mn), built by the caller.
     built = mn.built
-    object_map: dict[str, Multiset] = {p: Multiset({p: 1}) for p in mn.base.places}
+    objects = {p: {p: 1} for p in mn.base.places}
     for t in built.transitions:
         inner = mn.mana_place_of[t]
-        outer = double.mana_place_of[t]
-        object_map[inner] = Multiset({inner: 1, outer: 1})
-    morphism_map = {t: Trace(double.built, double.built.pre[t], (t,))
-                    for t in built.transitions}
-    return PresentedFunctor(built, double.built, object_map, morphism_map)
+        objects[inner] = {inner: 1, double.mana_place_of[t]: 1}
+    pre = double.built.pre
+    morphisms = {t: (pre[t]._entries, (t,)) for t in built.transitions}
+    return GeneratorForm(built, double.built, objects, morphisms)
 
 
 def lift_functor(functor: PresentedFunctor,
@@ -230,17 +252,21 @@ def lift_functor(functor: PresentedFunctor,
     """
     smn = source_mana if source_mana is not None else internal_construction(functor.source)
     tmn = target_mana if target_mana is not None else internal_construction(functor.target)
-    if smn.base != functor.source or tmn.base != functor.target:
-        raise ValueError("mana nets do not match the functor's boundary nets")
+    return _present(_lift_form(_to_form(functor), smn, tmn))
 
-    object_map = dict(functor.object_map)
-    morphism_map = {}
-    for t in functor.source.transitions:
-        image = functor.morphism_map[t]
-        mana_image = lift_multiset_map(tmn.mana_place_of, occurrence_multiset(image))
-        object_map[smn.mana_place_of[t]] = mana_image
-        morphism_map[t] = Trace(tmn.built, image.initial + mana_image, image.steps)
-    return PresentedFunctor(smn.built, tmn.built, object_map, morphism_map)
+
+def _lift_form(form: GeneratorForm, smn: ManaNet, tmn: ManaNet) -> GeneratorForm:
+    if smn.base != form.source or tmn.base != form.target:
+        raise ValueError("mana nets do not match the functor's boundary nets")
+    objects = dict(form.objects)
+    morphisms = {}
+    for t in form.source.transitions:
+        start, steps = form.morphisms[t]
+        mana = lift_counts(tmn.mana_place_of, occurrence_counts(steps))
+        objects[smn.mana_place_of[t]] = mana
+        # Multiset addition, with its overflow check.
+        morphisms[t] = ((_wrap(start) + _wrap(mana))._entries if mana else start, steps)
+    return GeneratorForm(smn.built, tmn.built, objects, morphisms)
 
 
 def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawReport:
@@ -257,6 +283,10 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     net is built once per call: its build, double build, counit and
     comultiplication serve the comonad laws (for `net`) and every
     naturality square whose source or target equals it.
+
+    Every functor here stays in the generator form of
+    :mod:`mananets.functors` (count dicts and step tuples); no
+    ``PresentedFunctor`` is built, and witnesses are read off the form.
     """
     problems = validate_net(net)
     if problems:
@@ -265,23 +295,20 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     shared = _built_side(net)
     mn, double, eps, delta = shared
     triple = iterated_construction(double)
+    identity = _identity_form(mn.built)
 
     results = []
 
-    lifted_eps = lift_functor(eps, source_mana=double, target_mana=mn)
-    left = compose_functors(lifted_eps, delta)
-    verdict, witness = compare_functors(left, identity_functor(mn.built))
-    results.append(law_result("left-counit", verdict, witness))
+    left = _compose_forms(_lift_form(eps, double, mn), delta)
+    results.append(law_result("left-counit", *_compare_forms(left, identity)))
 
-    right = compose_functors(counit(double), delta)
-    verdict, witness = compare_functors(right, identity_functor(mn.built))
-    results.append(law_result("right-counit", verdict, witness))
+    right = _compose_forms(_counit_form(double), delta)
+    results.append(law_result("right-counit", *_compare_forms(right, identity)))
 
-    lifted_delta = lift_functor(delta, source_mana=double, target_mana=triple)
-    path_outer = compose_functors(_comultiplication(double, triple), delta)
-    path_lifted = compose_functors(lifted_delta, delta)
-    verdict, witness = compare_functors(path_outer, path_lifted)
-    results.append(law_result("coassociativity", verdict, witness))
+    path_outer = _compose_forms(_comultiplication_form(double, triple), delta)
+    path_lifted = _compose_forms(_lift_form(delta, double, triple), delta)
+    results.append(law_result("coassociativity",
+                              *_compare_forms(path_outer, path_lifted)))
 
     results.extend(_naturality_results(morphisms, net, shared))
     return LawReport(tuple(results), notes=(COMULTIPLICATION_READING,))
@@ -291,7 +318,7 @@ def _built_side(net: Net) -> tuple:
     """A net's plain build, double build, counit and comultiplication."""
     mn = internal_construction(net)
     double = iterated_construction(mn)
-    return mn, double, counit(mn), _comultiplication(mn, double)
+    return mn, double, _counit_form(mn), _comultiplication_form(mn, double)
 
 
 def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
@@ -309,25 +336,25 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
         if key in seen:
             continue
         seen.add(key)
-        functor = functor_of_net_morphism(morphism)
+        functor = _morphism_form(morphism)
         if source_key not in sides:
             sides[source_key] = _built_side(morphism.source)
         smn, sdd, s_eps, s_delta = sides[source_key]
         if target_key not in sides:
             sides[target_key] = _built_side(morphism.target)
         tmn, tdd, t_eps, t_delta = sides[target_key]
-        lifted = lift_functor(functor, source_mana=smn, target_mana=tmn)
+        lifted = _lift_form(functor, smn, tmn)
 
-        lhs = compose_functors(t_eps, lifted)
-        rhs = compose_functors(functor, s_eps)
-        verdict, witness = compare_functors(lhs, rhs)
+        lhs = _compose_forms(t_eps, lifted)
+        rhs = _compose_forms(functor, s_eps)
+        verdict, witness = _compare_forms(lhs, rhs)
         counit_verdict, counit_witness = _merge(counit_verdict, counit_witness,
                                                 verdict, witness, index)
 
-        lifted_twice = lift_functor(lifted, source_mana=sdd, target_mana=tdd)
-        lhs = compose_functors(t_delta, lifted)
-        rhs = compose_functors(lifted_twice, s_delta)
-        verdict, witness = compare_functors(lhs, rhs)
+        lifted_twice = _lift_form(lifted, sdd, tdd)
+        lhs = _compose_forms(t_delta, lifted)
+        rhs = _compose_forms(lifted_twice, s_delta)
+        verdict, witness = _compare_forms(lhs, rhs)
         delta_verdict, delta_witness = _merge(delta_verdict, delta_witness,
                                               verdict, witness, index)
     if not seen:

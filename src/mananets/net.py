@@ -121,31 +121,46 @@ def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Mul
     >>> lift_multiset_map({"A": "P", "B": "P"}, Multiset({"A": 1, "B": 1}))
     Multiset({'P': 2})
     """
-    counts: dict[str, int] = {}
-    for symbol, count in m._entries.items():
-        if symbol not in mapping:
-            return _lift_in_order(mapping, m)
-        image = mapping[symbol]
-        pairs = ((image, 1),) if isinstance(image, str) else image._entries.items()
-        for target, k in pairs:
-            total = counts.get(target, 0) + count * k
-            if total > COUNT_MAX:
-                return _lift_in_order(mapping, m)
-            counts[target] = total
+    counts = lift_counts(mapping, m._entries)
     return _wrap(counts) if counts else EMPTY
 
 
-def _lift_in_order(mapping: Mapping[str, str | Multiset], m: Multiset) -> Multiset:
+def lift_counts(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> dict:
+    """:func:`lift_multiset_map` on a plain count dict, returning one.
+
+    Images may also be count dicts. The input is walked in its own order;
+    on an unknown symbol or an overflow the sum is taken again in symbol
+    order, so the error raised is the first one in that order.
+    """
+    counts: dict[str, int] = {}
+    for symbol, count in entries.items():
+        if symbol not in mapping:
+            return _lift_in_order(mapping, entries)
+        image = mapping[symbol]
+        if isinstance(image, str):
+            pairs = ((image, 1),)
+        else:
+            pairs = (image if type(image) is dict else image._entries).items()
+        for target, k in pairs:
+            total = counts.get(target, 0) + count * k
+            if total > COUNT_MAX:
+                return _lift_in_order(mapping, entries)
+            counts[target] = total
+    return counts
+
+
+def _lift_in_order(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> dict:
     # The same sum taken in symbol order, raising the first error in that
     # order: an unknown symbol or an overflowing scaled image anywhere is
     # reported before a sum overflow.
     counts: dict[str, int] = {}
     overflow = None
-    for symbol, count in m.items():
+    for symbol, count in sorted(entries.items()):
         if symbol not in mapping:
             raise UnknownSymbolError(symbol, "symbol map")
         image = mapping[symbol]
-        pairs = ((image, 1),) if isinstance(image, str) else image._entries.items()
+        pairs = ((image, 1),) if isinstance(image, str) else (
+            image if type(image) is dict else image._entries).items()
         for target, k in pairs:
             scaled = count * k
             if scaled > COUNT_MAX:
@@ -156,7 +171,7 @@ def _lift_in_order(mapping: Mapping[str, str | Multiset], m: Multiset) -> Multis
             counts[target] = total
     if overflow is not None:
         raise overflow
-    return _wrap(counts) if counts else EMPTY
+    return counts
 
 
 @dataclass(frozen=True)

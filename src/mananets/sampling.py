@@ -11,7 +11,7 @@ import random
 from .execution import Trace, simulate
 from .external import ManaState
 from .internal import ManaPolicy
-from .multiset import EMPTY, Multiset
+from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, lift_multiset_map
 
 
@@ -24,7 +24,7 @@ def random_multiset(rng: random.Random, symbols, max_total: int) -> Multiset:
     for _ in range(rng.randint(0, max_total)):
         symbol = rng.choice(symbols)
         counts[symbol] = counts.get(symbol, 0) + 1
-    return Multiset(counts)
+    return _wrap(counts) if counts else EMPTY
 
 
 def random_net(rng: random.Random, max_places: int = 5, max_transitions: int = 4,
@@ -53,6 +53,11 @@ def random_marking(rng: random.Random, net: Net, max_tokens: int = 3) -> Multise
 
 def random_state(rng: random.Random, net: Net, max_tokens: int = 3,
                  max_pool: int = 3) -> ManaState:
+    """A random marking, then a random pool, drawn in that order.
+
+    Callers that keep only the pool still draw the marking, so the
+    numbers drawn after it, and every report seeded with them, stay put.
+    """
     return ManaState(random_marking(rng, net, max_tokens),
                      random_multiset(rng, net.transitions, max_pool))
 

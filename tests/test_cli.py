@@ -307,6 +307,29 @@ def test_oversized_consume_is_document_error(capsys, tmp_path, suffix, text, whe
     assert err == f"mananets: 'consume' exceeds the bound: 9223372036854775808 {where}\n"
 
 
+@pytest.mark.parametrize("suffix, text, where", [
+    (".json", '{"places": ["A"], "transitions": '
+              '{"u": {"pre": {"A": 9223372036854775808}, "post": {}}}}',
+     "'A' exceeds the bound: 9223372036854775808 at $.transitions.u.pre.A"),
+    (".crn", "u: 9223372036854775808 A -> B\n",
+     "'A' exceeds the bound: 9223372036854775808 at line 1, col 4"),
+    (".crn", "u: A -> B\npool: u=9223372036854775808\n",
+     "'u' exceeds the bound: 9223372036854775808 at line 2, col 9"),
+], ids=["json-arc", "dsl-arc", "dsl-pool"])
+@pytest.mark.parametrize("argv", [
+    ["reach", "--depth", "1", "--max-tokens", "3"],
+    ["check-laws", "--samples", "2"],
+    ["validate"],
+])
+def test_oversized_count_is_document_error_with_location(capsys, tmp_path, suffix, text,
+                                                         where, argv):
+    path = tmp_path / f"big{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"mananets: count for {where}\n"
+
+
 def outcome(capsys, argv):
     try:
         code = main(list(argv))

@@ -301,3 +301,47 @@ def test_dsl_consume_above_the_count_bound_rejected():
         parse_reaction_dsl(f"a: A -> B\nu: A -> B mana: consume {COUNT_MAX + 1}")
     assert (err.value.line, err.value.col) == (2, 25)
     assert "exceeds the bound" in err.value.message
+
+
+BIG = COUNT_MAX + 1
+
+
+@pytest.mark.parametrize("document, path", [
+    ({"places": ["A"], "transitions": {"u": {"pre": {"A": BIG}, "post": {}}}},
+     "$.transitions.u.pre.A"),
+    ({"places": ["A"], "transitions": {"u": {"pre": {}, "post": {"A": BIG}}}},
+     "$.transitions.u.post.A"),
+    ({"places": ["A"], "transitions": {}, "marking": {"A": BIG}}, "$.marking.A"),
+    ({"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, "pool": {"u": BIG}},
+     "$.pool.u"),
+    ({"places": [], "transitions": {"u": {"pre": {}, "post": {}}},
+      "mana": {"u": {"produce": {"u": BIG}}}}, "$.mana.u.produce.u"),
+])
+def test_json_count_above_the_bound_names_its_path(document, path):
+    with pytest.raises(DocumentError) as err:
+        parse_json(json.dumps(document))
+    assert err.value.path == path
+    assert err.value.message == f"count for {path.rsplit('.', 1)[1]!r} exceeds the bound: {BIG}"
+    at_bound = json.dumps(document).replace(str(BIG), str(COUNT_MAX))
+    parse_json(at_bound)
+
+
+@pytest.mark.parametrize("text, symbol, total, where", [
+    (f"u: {BIG} A -> B", "A", BIG, (1, 4)),
+    (f"u: A -> {COUNT_MAX} B + B", "B", BIG, (1, 33)),
+    (f"u: A -> B\nmarking: {COUNT_MAX} A + 2 A", "A", COUNT_MAX + 2, (2, 34)),
+    (f"u: A -> B\npool: u={BIG}", "u", BIG, (2, 9)),
+    (f"u: A -> B mana: consume 1, produce {{u: {COUNT_MAX}, u: 1}}", "u", BIG, (1, 64)),
+])
+def test_dsl_count_above_the_bound_names_its_term(text, symbol, total, where):
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl(text)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.message == f"count for {symbol!r} exceeds the bound: {total}"
+
+
+def test_dsl_counts_at_the_bound_allowed():
+    doc = parse_reaction_dsl(f"u: {COUNT_MAX} A -> {COUNT_MAX - 1} B + B\n"
+                             f"marking: {COUNT_MAX} A\npool: u={COUNT_MAX}")
+    assert doc.net.pre["u"]["A"] == doc.net.post["u"]["B"] == COUNT_MAX
+    assert doc.marking["A"] == doc.pool["u"] == COUNT_MAX

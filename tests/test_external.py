@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mananets import external
 from mananets import (EMPTY, AffineSpan, ManaPolicy, ManaState, Multiset,
                       NotManaEnabledError, Trace, check_functor_laws,
                       check_laxator_naturality, compose_spans, laxator,
                       mana_enabled, mana_fire, mana_reach, mana_simulate,
                       occurrence_multiset, span_of_trace, span_of_transition)
-from mananets.errors import CountOverflowError, UnknownSymbolError
+from mananets.errors import CountOverflowError, NotEnabledError, UnknownSymbolError
+from mananets.execution import replay
+from mananets.reports import LawReport, law_result
 from mananets.multiset import COUNT_MAX
 from mananets.sampling import random_marking, random_net, random_policy, random_trace
 
@@ -291,6 +294,139 @@ def test_functor_laws_generalized(loop_net, loop_policy):
 def test_functor_laws_on_empty_sample(abc_net, plain):
     report = check_functor_laws(abc_net, plain, [])
     assert report.ok
+
+
+# -- one prefix-count pass against the per-cut reference -------------------------
+
+
+def reference_check_functor_laws(net, policy, sample_traces):
+    """The functor-law check with both spans recomputed at every cut.
+
+    `span_of_trace` and `compose_spans` are looked up on the module at call
+    time, so a monkeypatched fault reaches this reference and the library
+    alike.
+    """
+    identity_witness = None
+    for trace in sample_traces:
+        span = external.span_of_trace(policy, Trace(net, trace.initial, ()))
+        if span != AffineSpan.identity():
+            identity_witness = {"initial": trace.initial.as_dict(),
+                                "span": external._span_dict(span)}
+            break
+    composition_witness = None
+    for index, trace in enumerate(sample_traces):
+        whole = external.span_of_trace(policy, trace)
+        markings = replay(trace)
+        for cut in range(len(trace.steps) + 1):
+            head = Trace(net, trace.initial, trace.steps[:cut])
+            tail = Trace(net, markings[cut], trace.steps[cut:])
+            glued = external.compose_spans(external.span_of_trace(policy, head),
+                                           external.span_of_trace(policy, tail))
+            if glued != whole:
+                composition_witness = {"sample": index, "cut": cut,
+                                       "whole": external._span_dict(whole),
+                                       "glued": external._span_dict(glued)}
+                break
+        if composition_witness:
+            break
+    return LawReport((
+        law_result("identity", identity_witness is None, identity_witness),
+        law_result("composition", composition_witness is None, composition_witness),
+    ))
+
+
+def laws_outcome(check, net, policy, traces):
+    try:
+        return check(net, policy, traces).to_json_list()
+    except Exception as err:  # the error itself is what is compared
+        return type(err), str(err)
+
+
+def overcounting_span(monkeypatch):
+    """span_of_trace, through the count body it shares with the prefix pass,
+    consumes one unit too many of every transition that fires twice or more."""
+    real = external._span_of_counts
+
+    def faulty(policy, occurrences):
+        span = real(policy, occurrences)
+        extra = {t: 1 for t, k in occurrences.items() if k >= 2}
+        if span is None or not extra:
+            return span
+        return AffineSpan(span.consume + Multiset(extra), span.produce)
+
+    monkeypatch.setattr(external, "_span_of_counts", faulty)
+
+
+def body_giving_up(monkeypatch):
+    """The count body gives up on every odd total, so the fold takes over."""
+    real = external._span_of_counts
+    monkeypatch.setattr(external, "_span_of_counts",
+                        lambda policy, occurrences: None if sum(occurrences.values()) % 2
+                        else real(policy, occurrences))
+
+
+def produce_dropping_compose(monkeypatch):
+    """compose_spans drops the second produce when both sides consume."""
+    real = external.compose_spans
+
+    def faulty(first, second):
+        glued = real(first, second)
+        if first.consume and second.consume:
+            return AffineSpan(glued.consume, first.produce)
+        return glued
+
+    monkeypatch.setattr(external, "compose_spans", faulty)
+
+
+SPAN_FAULTS = {"clean": None, "span": overcounting_span, "fallback": body_giving_up,
+               "compose": produce_dropping_compose}
+
+
+class Count(int):
+    """An int subclass: the count body gives up on it, the fold accepts it."""
+
+
+@pytest.mark.parametrize("fault", sorted(SPAN_FAULTS))
+@pytest.mark.parametrize("seed", range(16))
+def test_prefix_pass_matches_per_cut_reference(seed, fault, monkeypatch):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    policy = random_policy(rng, net)
+    if seed % 4 == 1 and net.transitions:
+        # an entry only the fold accepts, or one it rejects
+        t = rng.choice(net.transitions)
+        bad = Count(2) if seed % 8 == 1 else rng.choice([-1, True, COUNT_MAX])
+        policy = ManaPolicy({**policy.consume, t: bad}, policy.produce)
+    traces = [random_trace(rng, net, random_marking(rng, net, 4)) for _ in range(8)]
+    if SPAN_FAULTS[fault] is not None:
+        SPAN_FAULTS[fault](monkeypatch)
+    got = laws_outcome(check_functor_laws, net, policy, traces)
+    assert got == laws_outcome(reference_check_functor_laws, net, policy, traces)
+
+
+def test_prefix_pass_still_replays_each_trace(loop_net, loop_policy, ms):
+    stuck = Trace(loop_net, ms(p1=1), ("u1", "u1"))
+    got = laws_outcome(check_functor_laws, loop_net, loop_policy, [stuck])
+    assert got == laws_outcome(reference_check_functor_laws, loop_net, loop_policy, [stuck])
+    assert got == (NotEnabledError, "transition 'u1' is not enabled (step 1)")
+
+
+def test_faulty_spans_fail_the_same_cut(loop_net, loop_policy, monkeypatch):
+    rng = random.Random(1)
+    traces = [random_trace(rng, loop_net, random_marking(rng, loop_net, 5))
+              for _ in range(20)]
+    overcounting_span(monkeypatch)
+    got = check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == reference_check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == [
+        {"law": "identity", "status": "pass"},
+        {"law": "composition", "status": "fail",
+         "counterexample": {"sample": 2, "cut": 2,
+                            "whole": {"consume": {"u3": 1, "u4": 3},
+                                      "produce": {"u2": 2, "u3": 3}},
+                            "glued": {"consume": {"u3": 1, "u4": 2},
+                                      "produce": {"u2": 2, "u3": 3}}}},
+    ]
 
 
 def test_laxator_naturality_samples(loop_net, loop_policy):

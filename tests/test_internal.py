@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from mananets import (EMPTY, ManaPolicy, Multiset, NameClashError, Net, NetMorphism,
+from mananets import (EMPTY, ManaPolicy, mana_place_name, Multiset, NameClashError, Net, NetMorphism,
                       PolicyError, Trace, apply_functor,
                       apply_functor_to_marking, check_comonad_laws,
                       compose_functors, comultiplication, counit,
@@ -11,11 +11,14 @@ from mananets import (EMPTY, ManaPolicy, Multiset, NameClashError, Net, NetMorph
                       identity_functor, internal_construction,
                       iterated_construction, lift_functor,
                       occurrence_multiset, run_trace, validate_functor)
-from mananets import internal
+from mananets import functors, internal
+from mananets.execution import trace_equivalent
 from mananets.functors import PresentedFunctor, compare_functors
+from mananets.multiset import COUNT_MAX
+from mananets.net import lift_multiset_map
 from mananets.reports import law_result
 from mananets.sampling import (random_marking, random_net, random_net_morphism,
-                               random_trace)
+                               random_policy, random_trace)
 
 
 def test_plain_construction_on_abc(abc_net, ms):
@@ -83,7 +86,6 @@ def test_policy_domain_mismatch_rejected(abc_net):
 def test_construction_never_touches_compound_layer(seed):
     rng = random.Random(seed)
     net = random_net(rng)
-    from mananets.sampling import random_policy
     mn = generalized_internal_construction(net, random_policy(rng, net))
     base_places = set(net.places)
     for t in net.transitions:
@@ -93,6 +95,48 @@ def test_construction_never_touches_compound_layer(seed):
         for other in net.transitions:
             if other != t:
                 assert mn.built.pre[t][mn.mana_place_of[other]] == 0
+
+
+class Count(int):
+    """An int subclass, which Multiset accepts as a count."""
+
+
+class Pool(Multiset):
+    """A Multiset subclass."""
+
+
+ODD_CONSUME = [0, 1, 2, 3, COUNT_MAX, COUNT_MAX + 1, True, 1.0, Count(2)]
+
+
+def built_by_multiset_arithmetic(net, policy):
+    """The plain-named build with every arc summed as a Multiset."""
+    mana = {t: mana_place_name(t) for t in net.transitions}
+    return Net(net.places + tuple(mana.values()), net.transitions,
+               {t: net.pre[t] + Multiset({mana[t]: policy.consume[t]})
+                for t in net.transitions},
+               {t: net.post[t] + lift_multiset_map(mana, policy.produce[t])
+                for t in net.transitions})
+
+
+def build_outcome(build):
+    try:
+        return build()
+    except Exception as err:  # the error itself is what is compared
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_construction_matches_multiset_arithmetic(seed):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    policy = random_policy(rng, net)
+    if seed % 3:
+        policy = ManaPolicy(
+            {t: rng.choice(ODD_CONSUME) for t in net.transitions},
+            {t: Pool(p.as_dict()) if rng.random() < 0.3 else p
+             for t, p in policy.produce.items()})
+    got = build_outcome(lambda: generalized_internal_construction(net, policy).built)
+    assert got == build_outcome(lambda: built_by_multiset_arithmetic(net, policy))
 
 
 def test_counit_erases_mana_marking(abc_net):
@@ -210,32 +254,124 @@ def test_law_names_are_stable(abc_net):
         "counit-naturality", "comultiplication-naturality"]
 
 
-# -- shared builds against the per-morphism reference -------------------------
+# -- the PresentedFunctor reference path -----------------------------------------
+#
+# The functor algebra as it ran before the generator form: every functor a
+# PresentedFunctor, every image a Trace, every count a Multiset. Only the net
+# constructions are shared with the library, and every construction is rebuilt
+# where it is used. Functions are looked up in this module at call time, so
+# install_fault reaches them.
+
+
+def reference_apply(functor, trace):
+    initial = lift_multiset_map(functor.object_map, trace.initial)
+    steps = []
+    for transition in trace.steps:
+        if transition not in functor.morphism_map:
+            raise KeyError(f"functor has no image for transition {transition!r}")
+        steps.extend(functor.morphism_map[transition].steps)
+    return Trace(functor.target, initial, tuple(steps))
+
+
+def reference_compose(outer, inner):
+    if inner.target != outer.source:
+        raise ValueError("functors are not composable: target/source nets differ")
+    return PresentedFunctor(
+        inner.source, outer.target,
+        {p: lift_multiset_map(outer.object_map, image)
+         for p, image in inner.object_map.items()},
+        {t: reference_apply(outer, image) for t, image in inner.morphism_map.items()},
+    )
+
+
+def reference_compare(left, right, bound=8):
+    if left.source != right.source or left.target != right.target:
+        return False, {"kind": "boundary", "detail": "source or target nets differ"}
+    for p in left.source.places:
+        if left.object_map[p] != right.object_map[p]:
+            return False, {"kind": "object", "generator": p,
+                           "left": left.object_map[p].as_dict(),
+                           "right": right.object_map[p].as_dict()}
+    verdict = True
+    for t in left.source.transitions:
+        a, b = left.morphism_map[t], right.morphism_map[t]
+        same = trace_equivalent(a, b, bound)
+        if same is False:
+            return False, {"kind": "morphism", "generator": t,
+                           "left": {"initial": a.initial.as_dict(), "steps": list(a.steps)},
+                           "right": {"initial": b.initial.as_dict(), "steps": list(b.steps)}}
+        if same is None:
+            verdict = None
+    if verdict is None:
+        return None, {"kind": "morphism", "detail": "trace comparison inconclusive"}
+    return True, None
+
+
+def reference_identity(net):
+    return PresentedFunctor(net, net, {p: Multiset({p: 1}) for p in net.places},
+                            {t: Trace(net, net.pre[t], (t,)) for t in net.transitions})
+
+
+def reference_functor_of_net_morphism(morphism):
+    tgt = morphism.target
+    return PresentedFunctor(
+        morphism.source, tgt,
+        {p: Multiset({morphism.place_map[p]: 1}) for p in morphism.source.places},
+        {t: Trace(tgt, tgt.pre[morphism.transition_map[t]], (morphism.transition_map[t],))
+         for t in morphism.source.transitions},
+    )
+
+
+def reference_counit(mn):
+    base = mn.base
+    object_map = {p: Multiset({p: 1}) for p in base.places}
+    for t in base.transitions:
+        object_map[mn.mana_place_of[t]] = EMPTY
+    return PresentedFunctor(mn.built, base, object_map,
+                            {t: Trace(base, base.pre[t], (t,)) for t in base.transitions})
+
+
+def reference_comultiplication(mn, double):
+    object_map = {p: Multiset({p: 1}) for p in mn.base.places}
+    for t in mn.built.transitions:
+        inner = mn.mana_place_of[t]
+        object_map[inner] = Multiset({inner: 1, double.mana_place_of[t]: 1})
+    return PresentedFunctor(mn.built, double.built, object_map,
+                            {t: Trace(double.built, double.built.pre[t], (t,))
+                             for t in mn.built.transitions})
+
+
+def reference_lift_functor(functor, smn, tmn):
+    if smn.base != functor.source or tmn.base != functor.target:
+        raise ValueError("mana nets do not match the functor's boundary nets")
+    object_map = dict(functor.object_map)
+    morphism_map = {}
+    for t in functor.source.transitions:
+        image = functor.morphism_map[t]
+        mana_image = lift_multiset_map(tmn.mana_place_of, occurrence_multiset(image))
+        object_map[smn.mana_place_of[t]] = mana_image
+        morphism_map[t] = Trace(tmn.built, image.initial + mana_image, image.steps)
+    return PresentedFunctor(smn.built, tmn.built, object_map, morphism_map)
 
 
 def reference_comonad_laws(net, morphisms=()):
-    """The comonad check with every construction rebuilt where it is used.
-
-    Constructions are looked up on the module at call time, so a
-    monkeypatched construction reaches this reference and the library
-    alike.
-    """
+    """The comonad check on PresentedFunctor values, rebuilt per use."""
     mn = internal.internal_construction(net)
     double = internal.iterated_construction(mn)
     triple = internal.iterated_construction(double)
-    eps = internal.counit(mn)
-    delta = internal.comultiplication(mn)
+    eps = reference_counit(mn)
+    delta = reference_comultiplication(mn, internal.iterated_construction(mn))
     results = []
-    left = compose_functors(internal.lift_functor(eps, double, mn), delta)
+    left = reference_compose(reference_lift_functor(eps, double, mn), delta)
     results.append(law_result("left-counit",
-                              *compare_functors(left, identity_functor(mn.built))))
-    right = compose_functors(internal.counit(double), delta)
+                              *reference_compare(left, reference_identity(mn.built))))
+    right = reference_compose(reference_counit(double), delta)
     results.append(law_result("right-counit",
-                              *compare_functors(right, identity_functor(mn.built))))
-    path_outer = compose_functors(internal.comultiplication(double), delta)
-    path_lifted = compose_functors(internal.lift_functor(delta, double, triple), delta)
+                              *reference_compare(right, reference_identity(mn.built))))
+    path_outer = reference_compose(reference_comultiplication(double, triple), delta)
+    path_lifted = reference_compose(reference_lift_functor(delta, double, triple), delta)
     results.append(law_result("coassociativity",
-                              *compare_functors(path_outer, path_lifted)))
+                              *reference_compare(path_outer, path_lifted)))
     results.extend(reference_naturality_results(morphisms))
     return [r.to_json_dict() for r in results]
 
@@ -243,40 +379,144 @@ def reference_comonad_laws(net, morphisms=()):
 def reference_naturality_results(morphisms):
     counit_acc = delta_acc = (True, None)
     for index, morphism in enumerate(morphisms):
-        functor = functor_of_net_morphism(morphism)
+        functor = reference_functor_of_net_morphism(morphism)
         smn = internal.internal_construction(morphism.source)
         tmn = internal.internal_construction(morphism.target)
-        lifted = internal.lift_functor(functor, smn, tmn)
+        lifted = reference_lift_functor(functor, smn, tmn)
 
-        lhs = compose_functors(internal.counit(tmn), lifted)
-        rhs = compose_functors(functor, internal.counit(smn))
-        counit_acc = internal._merge(*counit_acc, *compare_functors(lhs, rhs), index)
+        lhs = reference_compose(reference_counit(tmn), lifted)
+        rhs = reference_compose(functor, reference_counit(smn))
+        counit_acc = internal._merge(*counit_acc, *reference_compare(lhs, rhs), index)
 
         sdd = internal.iterated_construction(smn)
         tdd = internal.iterated_construction(tmn)
-        lifted_twice = internal.lift_functor(lifted, sdd, tdd)
-        lhs = compose_functors(internal.comultiplication(tmn), lifted)
-        rhs = compose_functors(lifted_twice, internal.comultiplication(smn))
-        delta_acc = internal._merge(*delta_acc, *compare_functors(lhs, rhs), index)
+        lifted_twice = reference_lift_functor(lifted, sdd, tdd)
+        lhs = reference_compose(
+            reference_comultiplication(tmn, internal.iterated_construction(tmn)), lifted)
+        rhs = reference_compose(
+            lifted_twice,
+            reference_comultiplication(smn, internal.iterated_construction(smn)))
+        delta_acc = internal._merge(*delta_acc, *reference_compare(lhs, rhs), index)
     return [law_result("counit-naturality", *counit_acc),
             law_result("comultiplication-naturality", *delta_acc)]
 
 
+def test_public_constructions_match_the_reference(loop_net):
+    rng = random.Random(4)
+    mn = internal_construction(loop_net)
+    double = iterated_construction(mn)
+    morphism = random_net_morphism(rng, loop_net)
+    tmn = internal_construction(morphism.target)
+    functor = functor_of_net_morphism(morphism)
+    pairs = [
+        (counit(mn), reference_counit(mn)),
+        (comultiplication(mn), reference_comultiplication(mn, double)),
+        (identity_functor(mn.built), reference_identity(mn.built)),
+        (functor, reference_functor_of_net_morphism(morphism)),
+        (lift_functor(functor, mn, tmn), reference_lift_functor(functor, mn, tmn)),
+        (compose_functors(counit(tmn), lift_functor(functor, mn, tmn)),
+         reference_compose(reference_counit(tmn), reference_lift_functor(functor, mn, tmn))),
+    ]
+    for got, want in pairs:
+        assert got == want
+    # an object mismatch, a morphism mismatch, a boundary mismatch, a pass
+    ident = identity_functor(mn.built)
+    erased = with_object(ident, "mana:u1", {})
+    restarted = PresentedFunctor(mn.built, mn.built, ident.object_map,
+                                 {**ident.morphism_map,
+                                  "u2": Trace(mn.built, Multiset({"mana:u2": 5}), ("u2",))})
+    for left, right in [(ident, erased), (ident, restarted), (ident, counit(mn)),
+                        (ident, reference_identity(mn.built))]:
+        assert compare_functors(left, right) == reference_compare(left, right)
+    with pytest.raises(ValueError):
+        compose_functors(counit(mn), counit(mn))
+
+
+# -- faulty constructions, on both paths -------------------------------------------
+
+#: Where a construction is patched: its generator-form function in the
+#: library, and its PresentedFunctor function in the reference above.
+FAULT_POINTS = {
+    "counit": ("_counit_form", "reference_counit"),
+    "comultiplication": ("_comultiplication_form", "reference_comultiplication"),
+    "lift": ("_lift_form", "reference_lift_functor"),
+    "morphism": ("_morphism_form", "reference_functor_of_net_morphism"),
+}
+
+
+def install_fault(monkeypatch, point, fault):
+    """Make one construction return ``fault(functor, *its arguments)`` on both paths.
+
+    The library's generator form goes through ``PresentedFunctor`` and back,
+    so one `fault` serves both.
+    """
+    form_name, reference_name = FAULT_POINTS[point]
+    real_form = getattr(internal, form_name)
+    real_reference = globals()[reference_name]
+
+    def faulty_form(*args):
+        return functors._to_form(fault(functors._present(real_form(*args)), *args))
+
+    monkeypatch.setattr(internal, form_name, faulty_form)
+    monkeypatch.setitem(globals(), reference_name,
+                        lambda *args: fault(real_reference(*args), *args))
+
+
+def with_object(functor, place, image):
+    object_map = {**functor.object_map, place: Multiset(image)}
+    return PresentedFunctor(functor.source, functor.target, object_map,
+                            functor.morphism_map)
+
+
 def faulty_counit_on(bad_net, monkeypatch):
     """Make counit send the last transition's mana place of `bad_net` to a place."""
-    real = internal.counit
-
-    def faulty(mn):
-        functor = real(mn)
+    def fault(functor, mn):
         if mn.base != bad_net or not mn.base.transitions or not mn.base.places:
             return functor
-        object_map = dict(functor.object_map)
-        object_map[mn.mana_place_of[mn.base.transitions[-1]]] = \
-            Multiset({mn.base.places[0]: 1})
-        return PresentedFunctor(functor.source, functor.target, object_map,
-                                functor.morphism_map)
+        return with_object(functor, mn.mana_place_of[mn.base.transitions[-1]],
+                           {mn.base.places[0]: 1})
 
-    monkeypatch.setattr(internal, "counit", faulty)
+    install_fault(monkeypatch, "counit", fault)
+
+
+def faulty_comultiplication_on(bad_net, monkeypatch):
+    """Make comultiplication drop the outer copy of the first mana place of `bad_net`."""
+    def fault(functor, mn, double):
+        if mn.base != bad_net or not mn.base.transitions:
+            return functor
+        inner = mn.mana_place_of[mn.base.transitions[0]]
+        return with_object(functor, inner, {inner: 1})
+
+    install_fault(monkeypatch, "comultiplication", fault)
+
+
+def faulty_lift_on(bad_net, monkeypatch):
+    """Make lifting count one unit too many in the first transition's mana image,
+    whenever `bad_net` is the base of either side."""
+    def fault(functor, _, smn, tmn):
+        if bad_net not in (smn.base, tmn.base) or not smn.base.transitions:
+            return functor
+        place = smn.mana_place_of[smn.base.transitions[0]]
+        image = functor.object_map[place].as_dict()
+        if not image:
+            return functor
+        first = min(image)
+        return with_object(functor, place, {**image, first: image[first] + 1})
+
+    install_fault(monkeypatch, "lift", fault)
+
+
+def faulty_morphism_functor_on(bad_net, monkeypatch):
+    """Make the functor of a morphism into or out of `bad_net` relabel its first
+    place to another target place."""
+    def fault(functor, morphism):
+        if bad_net not in (morphism.source, morphism.target) or not morphism.source.places:
+            return functor
+        first = morphism.source.places[0]
+        others = [q for q in morphism.target.places if q != morphism.place_map[first]]
+        return with_object(functor, first, {others[0]: 1}) if others else functor
+
+    install_fault(monkeypatch, "morphism", fault)
 
 
 def sampled_morphisms(rng, net):
@@ -344,24 +584,48 @@ def test_faulty_counit_on_the_source_fails_every_square_it_serves(loop_net, monk
     assert got == reference_comonad_laws(loop_net, morphisms)
 
 
+def test_faulty_lift_into_a_target_fails_comultiplication_naturality(loop_net, monkeypatch):
+    rng = random.Random(1)
+    morphisms = [random_net_morphism(rng, loop_net) for _ in range(4)]
+    faulty_lift_on(morphisms[2].target, monkeypatch)
+    got = check_comonad_laws(loop_net, morphisms).to_json_list()
+    assert got == [
+        {"law": "left-counit", "status": "pass"},
+        {"law": "right-counit", "status": "pass"},
+        {"law": "coassociativity", "status": "pass"},
+        {"law": "counit-naturality", "status": "pass"},
+        {"law": "comultiplication-naturality", "status": "fail",
+         "counterexample": {"morphism_index": 2, "kind": "object", "generator": "mana:u1",
+                            "left": {"mana:m_u1": 2, "outer-mana:m_u1": 2},
+                            "right": {"mana:m_u1": 2, "outer-mana:m_u1": 1}}},
+    ]
+    assert got == reference_comonad_laws(loop_net, morphisms)
+
+
+def test_faulty_morphism_functor_fails_both_naturality_squares(loop_net, monkeypatch):
+    rng = random.Random(1)
+    morphisms = [random_net_morphism(rng, loop_net) for _ in range(4)]
+    faulty_morphism_functor_on(morphisms[2].target, monkeypatch)
+    got = check_comonad_laws(loop_net, morphisms).to_json_list()
+    assert got == [
+        {"law": "left-counit", "status": "pass"},
+        {"law": "right-counit", "status": "pass"},
+        {"law": "coassociativity", "status": "pass"},
+        {"law": "counit-naturality", "status": "fail",
+         "counterexample": {"morphism_index": 2, "kind": "morphism", "generator": "u1",
+                            "left": {"initial": {"q0": 1}, "steps": ["m_u1"]},
+                            "right": {"initial": {"q_extra": 1}, "steps": ["m_u1"]}}},
+        {"law": "comultiplication-naturality", "status": "fail",
+         "counterexample": {"morphism_index": 2, "kind": "morphism", "generator": "u1",
+                            "left": {"initial": {"mana:m_u1": 1, "outer-mana:m_u1": 1,
+                                                 "q0": 1}, "steps": ["m_u1"]},
+                            "right": {"initial": {"mana:m_u1": 1, "outer-mana:m_u1": 1,
+                                                  "q_extra": 1}, "steps": ["m_u1"]}}},
+    ]
+    assert got == reference_comonad_laws(loop_net, morphisms)
+
+
 # -- repeated morphisms and nets ------------------------------------------------
-
-
-def faulty_comultiplication_on(bad_net, monkeypatch):
-    """Make comultiplication drop the outer copy of the first mana place of `bad_net`."""
-    real = internal._comultiplication
-
-    def faulty(mn, double):
-        functor = real(mn, double)
-        if mn.base != bad_net or not mn.base.transitions:
-            return functor
-        object_map = dict(functor.object_map)
-        inner = mn.mana_place_of[mn.base.transitions[0]]
-        object_map[inner] = Multiset({inner: 1})
-        return PresentedFunctor(functor.source, functor.target, object_map,
-                                functor.morphism_map)
-
-    monkeypatch.setattr(internal, "_comultiplication", faulty)
 
 
 def equal_copy(net):
@@ -401,7 +665,8 @@ def distinct(items):
 
 
 FAULTS = {"clean": None, "counit": faulty_counit_on,
-          "comultiplication": faulty_comultiplication_on}
+          "comultiplication": faulty_comultiplication_on,
+          "lift": faulty_lift_on, "morphism": faulty_morphism_functor_on}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -415,18 +680,18 @@ def test_repeated_morphisms_match_reference(seed, fault, monkeypatch):
         FAULTS[fault](bad, monkeypatch)
     built, checked = [], []
     real_built_side = internal._built_side
-    real_functor_of = internal.functor_of_net_morphism
+    real_morphism_form = internal._morphism_form
 
     def counting_built_side(side_net):
         built.append(side_net)
         return real_built_side(side_net)
 
-    def counting_functor_of(morphism):
+    def counting_morphism_form(morphism):
         checked.append(morphism)
-        return real_functor_of(morphism)
+        return real_morphism_form(morphism)
 
     monkeypatch.setattr(internal, "_built_side", counting_built_side)
-    monkeypatch.setattr(internal, "functor_of_net_morphism", counting_functor_of)
+    monkeypatch.setattr(internal, "_morphism_form", counting_morphism_form)
     got = check_comonad_laws(net, morphisms).to_json_list()
     assert checked == distinct(morphisms)
     assert built == distinct([net] + [side for m in morphisms for side in (m.source, m.target)])

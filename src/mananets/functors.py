@@ -18,8 +18,9 @@ that call only. :class:`PresentedFunctor` is the boundary type: the
 public functions convert to the form on the way in (:func:`_to_form`)
 and back on the way out (:func:`_present`), and
 :func:`~mananets.internal.check_comonad_laws` stays on the form
-throughout. An image trace is read on the functor's target net; one that
-lives elsewhere is a malformed presentation, which
+throughout. The form reads every image trace on the functor's target
+net, so :func:`_to_form` raises ``ValueError`` on an image trace that
+lives on another net, a malformed presentation that
 :func:`validate_functor` reports as ``wrong-net``.
 """
 
@@ -71,12 +72,21 @@ def _multiset(counts: dict) -> Multiset:
 
 
 def _to_form(functor: PresentedFunctor) -> GeneratorForm:
-    """The generator form of a presented functor (shares its count dicts)."""
+    """The generator form of a presented functor (shares its count dicts).
+
+    Raises ``ValueError`` when an image trace lives on a net other than
+    the functor's target, which the form cannot represent.
+    """
+    target = functor.target
+    morphisms = {}
+    for t, image in functor.morphism_map.items():
+        if image.net is not target and image.net != target:
+            raise ValueError(f"image trace of {t!r} lives on a different net than the target")
+        morphisms[t] = (image.initial._entries, image.steps)
     return GeneratorForm(
-        functor.source, functor.target,
+        functor.source, target,
         {p: image._entries for p, image in functor.object_map.items()},
-        {t: (image.initial._entries, image.steps)
-         for t, image in functor.morphism_map.items()},
+        morphisms,
     )
 
 
@@ -121,15 +131,17 @@ def apply_functor_to_marking(functor: PresentedFunctor, marking: Multiset) -> Mu
     return lift_multiset_map(functor.object_map, marking)
 
 
-def _apply(form: GeneratorForm, start: dict, steps: tuple) -> tuple[dict, tuple]:
+def _apply(objects: Mapping, images: Mapping, start: dict,
+           steps: tuple) -> tuple[dict, tuple]:
     """Image of a trace given as start counts and steps.
 
-    Every occurrence of a transition is replaced by (a copy of) its image
-    firing sequence; extra ambient tokens never disable a firing, so the
-    result replays whenever the input does.
+    `objects` and `images` are a form's object and morphism maps (object
+    images may also be multisets). Every occurrence of a transition is
+    replaced by (a copy of) its image firing sequence; extra ambient
+    tokens never disable a firing, so the result replays whenever the
+    input does.
     """
-    start = lift_counts(form.objects, start)
-    images = form.morphisms
+    start = lift_counts(objects, start)
     out: list[str] = []
     for transition in steps:
         if transition not in images:
@@ -140,23 +152,31 @@ def _apply(form: GeneratorForm, start: dict, steps: tuple) -> tuple[dict, tuple]
 
 def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
     """Image of a trace: lift the initial marking, replace each firing."""
-    start, steps = _apply(_to_form(functor), trace.initial._entries, trace.steps)
+    images = functor.morphism_map
+    used = {t: (images[t].initial._entries, images[t].steps)
+            for t in set(trace.steps) if t in images}
+    start, steps = _apply(functor.object_map, used, trace.initial._entries, trace.steps)
     return Trace(functor.target, _multiset(start), steps)
 
 
 def _compose_forms(outer: GeneratorForm, inner: GeneratorForm) -> GeneratorForm:
     if inner.target != outer.source:
         raise ValueError("functors are not composable: target/source nets differ")
-    images = outer.objects
+    objects, images = outer.objects, outer.morphisms
     return GeneratorForm(
         inner.source, outer.target,
-        {p: lift_counts(images, image) for p, image in inner.objects.items()},
-        {t: _apply(outer, start, steps) for t, (start, steps) in inner.morphisms.items()},
+        {p: lift_counts(objects, image) for p, image in inner.objects.items()},
+        {t: _apply(objects, images, start, steps)
+         for t, (start, steps) in inner.morphisms.items()},
     )
 
 
 def compose_functors(outer: PresentedFunctor, inner: PresentedFunctor) -> PresentedFunctor:
-    """Composite presentation (inner first, then outer)."""
+    """Composite presentation (inner first, then outer).
+
+    Raises ``ValueError`` when the functors do not compose or an image
+    trace lives on a net other than its functor's target.
+    """
     return _present(_compose_forms(_to_form(outer), _to_form(inner)))
 
 
@@ -233,7 +253,8 @@ def compare_functors(left: PresentedFunctor, right: PresentedFunctor,
 
     Returns ``(verdict, witness)`` where the verdict is True, False or
     None (inconclusive trace comparison) and the witness names the
-    offending generator.
+    offending generator. Raises ``ValueError`` when an image trace lives
+    on a net other than its functor's target.
     """
     return _compare_forms(_to_form(left), _to_form(right), bound)
 

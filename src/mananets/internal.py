@@ -29,8 +29,8 @@ from .errors import NameClashError, PolicyError
 from .execution import occurrence_counts
 from .functors import (GeneratorForm, PresentedFunctor, _compare_forms, _compose_forms,
                        _identity_form, _morphism_form, _present, _to_form)
-from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
-from .net import Net, NetMorphism, lift_counts, lift_multiset_map, validate_net
+from .multiset import EMPTY, Multiset, _wrap
+from .net import Net, NetMorphism, lift_counts, validate_net
 from .reports import LawReport, LawResult, law_result
 
 #: Prefix used for generated mana place names.
@@ -147,22 +147,18 @@ def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
         taken.add(name)
         mana_place_of[t] = name
 
+    # Multiset() checks every consume count, in transition order. Mana
+    # places are fresh and named apart, so each arc only gains new keys:
+    # no sum can pass the bound.
+    consumed = Multiset({mana_place_of[t]: policy.consume[t] for t in net.transitions})._entries
     pre = {}
     post = {}
     for t in net.transitions:
         name = mana_place_of[t]
-        consume, produce = policy.consume[t], policy.produce[t]
-        if type(consume) is int and consume <= COUNT_MAX and type(produce) is Multiset:
-            # Mana places are fresh and named apart, so the arcs only gain
-            # new keys: no count can pass the bound or meet an unknown name.
-            pre[t] = _wrap({**net.pre[t]._entries, name: consume}) if consume else net.pre[t]
-            post[t] = _wrap({**net.post[t]._entries,
-                             **{mana_place_of[s]: k for s, k in produce._entries.items()}}
-                            ) if produce else net.post[t]
-        else:
-            # Let Multiset arithmetic raise what an odd entry deserves.
-            pre[t] = net.pre[t] + Multiset({name: consume})
-            post[t] = net.post[t] + lift_multiset_map(mana_place_of, produce)
+        gained = lift_counts(mana_place_of, policy.produce[t]._entries)
+        pre[t] = _wrap({**net.pre[t]._entries, name: consumed[name]}
+                       ) if name in consumed else net.pre[t]
+        post[t] = _wrap({**net.post[t]._entries, **gained}) if gained else net.post[t]
     built = Net(
         net.places + tuple(mana_place_of[t] for t in net.transitions),
         net.transitions,
@@ -248,7 +244,9 @@ def lift_functor(functor: PresentedFunctor,
     the occurrence multiset of ``t``'s image trace, rendered over the
     target's mana places. Pass explicit mana nets when lifting a functor
     that already lives between built nets (the defaults re-run the plain
-    construction, which fails fast on existing ``mana:`` places).
+    construction, which fails fast on existing ``mana:`` places). Raises
+    ``ValueError`` when an image trace lives on a net other than the
+    functor's target.
     """
     smn = source_mana if source_mana is not None else internal_construction(functor.source)
     tmn = target_mana if target_mana is not None else internal_construction(functor.target)

@@ -3,7 +3,8 @@ import pytest
 from mananets import (EMPTY, Multiset, Net, PresentedFunctor, Trace,
                       apply_functor, apply_functor_to_marking,
                       compose_functors, functors_equal, identity_functor,
-                      run_trace, validate_functor)
+                      lift_functor, run_trace, validate_functor)
+from mananets.functors import compare_functors
 
 
 @pytest.fixture
@@ -81,3 +82,52 @@ def test_validate_functor_catches_endpoint_mismatch(abc_net, ms):
     )
     problems = validate_functor(broken)
     assert any(v.kind == "endpoint-mismatch" for v in problems)
+
+
+def with_image_on(functor, net):
+    """`functor` with its image of u moved, steps unchanged, onto `net`."""
+    image = functor.morphism_map["u"]
+    return PresentedFunctor(functor.source, functor.target, functor.object_map,
+                            {"u": Trace(net, image.initial, image.steps)})
+
+
+def test_image_on_another_net_is_rejected(doubling_functor):
+    # The functor algebra reads every image trace on the target net, so an
+    # image living elsewhere (validate_functor's wrong-net) raises instead
+    # of getting a verdict computed on a net the caller did not give.
+    elsewhere = Net.build(["X", "Y", "Z"], {
+        "s1": ({"X": 1}, {"Y": 1}),
+        "s2": ({"Y": 1}, {"Z": 2}),
+    })
+    bad = with_image_on(doubling_functor, elsewhere)
+    assert [v.kind for v in validate_functor(bad)] == ["wrong-net"]
+    message = "image trace of 'u' lives on a different net than the target"
+    for call in (lambda: compare_functors(bad, doubling_functor),
+                 lambda: compare_functors(doubling_functor, bad),
+                 lambda: functors_equal(bad, bad),
+                 lambda: compose_functors(identity_functor(bad.target), bad),
+                 lambda: compose_functors(bad, identity_functor(bad.source)),
+                 lambda: lift_functor(bad)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_image_on_an_equal_net_is_accepted(doubling_functor):
+    copy = Net.build(["X", "Y", "Z"], {
+        "s1": ({"X": 1}, {"Y": 1}),
+        "s2": ({"Y": 1}, {"Z": 1}),
+    })
+    assert copy is not doubling_functor.target
+    same = with_image_on(doubling_functor, copy)
+    assert validate_functor(same) == []
+    assert compare_functors(same, doubling_functor) == (True, None)
+
+
+def test_apply_functor_reads_only_the_images_it_fires(abc_net, ms):
+    # apply_functor takes each firing's steps from its image; an image the
+    # trace never fires is not looked at, and a missing one is a KeyError.
+    ident = identity_functor(abc_net)
+    partial = PresentedFunctor(abc_net, abc_net, ident.object_map, {})
+    assert apply_functor(partial, Trace(abc_net, ms(A=1), ())) == Trace(abc_net, ms(A=1), ())
+    with pytest.raises(KeyError, match="no image for transition 'u'"):
+        apply_functor(partial, Trace(abc_net, ms(A=1, B=1), ("u",)))

@@ -14,7 +14,8 @@ counts and returns them in the order it found them. The mana game of
 :mod:`mananets.external` appends the pool as a second segment of the
 same vector, so :func:`reach`, :func:`~mananets.external.mana_reach` and
 both sides of :func:`~mananets.equivalence.check_equivalence` share this
-one kernel. Only where the order shows is a graph sorted, by
+one kernel; a malformed arc raises when it is compiled, before any search.
+Only where the order shows is a graph sorted, by
 :func:`order_nodes`: :func:`reach` and ``mana_reach`` then build one
 ``Multiset`` value per node, and :func:`~mananets.documents.emit_graph_json`
 writes the text straight from the vectors.
@@ -26,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotEnabledError, UnknownSymbolError
+from .errors import CountOverflowError, NotEnabledError, UnknownSymbolError
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
 
@@ -203,12 +204,11 @@ class TokenGame:
     A state is a tuple with one count per symbol of `symbols`, in sorted
     order: the net's places, the symbols its arcs mention and those of
     the initial marking. Each transition, in name order, becomes a step
-    ``(label, pre, delta, growth, exact)``: the (coordinate, count)
-    pairs a state must cover, the nonzero (coordinate, change) pairs of
-    a firing and the firing's change in size. A step marked `exact`
-    (its arcs are not plain multisets) and any firing whose result could
-    hold a count above ``COUNT_MAX`` run through :meth:`successor` on
-    ``Multiset`` values instead, raising what that raises.
+    ``(label, pre, delta, growth)``: the (coordinate, count) pairs a
+    state must cover, the nonzero (coordinate, change) pairs of a firing
+    and the firing's change in size. A missing arc raises
+    :class:`UnknownSymbolError` and one that is not a ``Multiset``
+    raises ``TypeError``, both here in the constructor.
     """
 
     def __init__(self, net: Net, marking: Multiset):
@@ -219,39 +219,46 @@ class TokenGame:
         """Lay out the coordinates, marking then pool, and compile each transition."""
         net = self.net
         labels = sorted(set(net.transitions))
+        pool_arcs = [self._pool_arcs(t) for t in labels]
+        arcs = [net.arcs(t) for t in labels]
         places = set(net.places) | set(marking_symbols)
-        for t in labels:
-            for arcs in (net.pre.get(t), net.post.get(t)):
-                if isinstance(arcs, Multiset):
-                    places.update(arcs.support())
+        for t, sides in zip(labels, arcs):
+            for side in sides:
+                if not isinstance(side, Multiset):
+                    raise TypeError(f"arcs of {t!r} must be Multisets, got {side!r}")
+                places.update(side._entries)
         places = sorted(places)
+        pool = sorted(set(pool_symbols).union(*(gain._entries for _, gain in pool_arcs)))
         self.split = len(places)
-        self.symbols = (*places, *pool_symbols)
+        self.symbols = (*places, *pool)
         self._places = {s: i for i, s in enumerate(places)}
-        self._pool = {s: self.split + i for i, s in enumerate(pool_symbols)}
-        self.steps = []
-        for t in labels:
-            pre, post = net.pre.get(t), net.post.get(t)
-            pool_arcs = self._pool_arcs(t)
-            if isinstance(pre, Multiset) and isinstance(post, Multiset) and pool_arcs:
-                self.steps.append(self._step(t, pre, post, *pool_arcs))
-            else:
-                self.steps.append((t, (), (), 0, True))
+        self._pool = {s: self.split + i for i, s in enumerate(pool)}
+        self.steps = [self._step(t, *sides, *uses)
+                      for t, sides, uses in zip(labels, arcs, pool_arcs)]
 
-    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset] | None:
-        """What a firing takes from and adds to the pool; None makes it exact."""
+    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset]:
+        """What a firing takes from and adds to the pool."""
         return EMPTY, EMPTY
 
     def _step(self, label: str, pre: Multiset, post: Multiset,
               use: Multiset, gain: Multiset) -> tuple:
-        need = {self._places[s]: c for s, c in pre.items()}
-        need.update((self._pool[s], c) for s, c in use.items())
-        change = {i: -c for i, c in need.items()}
-        for side, position in ((post, self._places), (gain, self._pool)):
-            for s, c in side.items():
-                change[position[s]] = change.get(position[s], 0) + c
-        delta = tuple(sorted((i, d) for i, d in change.items() if d))
-        return (label, tuple(sorted(need.items())), delta, sum(change.values()), False)
+        need = {self._places[s]: c for s, c in pre._entries.items()}
+        need.update((self._pool[s], c) for s, c in use._entries.items())
+        # Gain, then post, in insertion order: the order in which Multiset
+        # addition meets them, so check_overflow names the same symbol.
+        change = {self._pool[s]: c for s, c in gain._entries.items()}
+        for s, c in post._entries.items():
+            change[self._places[s]] = c
+        for i, c in need.items():
+            change[i] = change.get(i, 0) - c
+        delta = tuple((i, d) for i, d in change.items() if d)
+        return (label, tuple(sorted(need.items())), delta, sum(change.values()))
+
+    def check_overflow(self, vector, delta) -> None:
+        """Raise CountOverflowError for the first count of a firing past ``COUNT_MAX``."""
+        for i, d in delta:
+            if vector[i] + d > COUNT_MAX:
+                raise CountOverflowError(self.symbols[i], vector[i] + d)
 
     def position(self, symbol: str) -> int:
         """The coordinate of a marking symbol."""
@@ -278,25 +285,16 @@ class TokenGame:
     def key(self, vector) -> tuple:
         return _segment_key(vector)
 
-    def successor(self, marking: Multiset, label: str) -> Multiset | None:
-        """One firing on ``Multiset`` values; None when it is not enabled."""
-        rest = marking.minus(self.net.pre[label])
-        return None if rest is None else rest + self.net.post[label]
-
-    def fire_exact(self, vector, label: str):
-        nxt = self.successor(self.state(vector), label)
-        return None if nxt is None else self.vector(nxt)
-
     def can_fire(self, vector, size: int) -> bool:
-        """Whether any step is enabled, computing the first firing as the BFS would."""
-        for label, pre, _, growth, exact in self.steps:
+        """Whether any step is enabled; the first enabled firing raises as the BFS would."""
+        for _, pre, delta, growth in self.steps:
             for i, need in pre:
                 if vector[i] < need:
                     break
             else:
-                if (not exact and size + growth <= COUNT_MAX
-                        or self.fire_exact(vector, label) is not None):
-                    return True
+                if size + growth > COUNT_MAX:
+                    self.check_overflow(vector, delta)
+                return True
         return False
 
     def reach(self, root, depth_bound: int, token_bound: int) -> ReachGraph:
@@ -360,8 +358,8 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
     States at depth `depth_bound`, or larger than `token_bound`, are not
     expanded, and successors larger than `token_bound` are dropped; a cut
     that hides a firing marks the graph as truncated. The search runs
-    level by level, in the order a FIFO queue would, so that a firing
-    that raises does so at the same point as on ``Multiset`` values.
+    level by level, in the order a FIFO queue would, so that a count
+    past ``COUNT_MAX`` raises at the same point as on ``Multiset`` values.
     The graph comes back in that discovery order, unsorted; see
     :func:`order_nodes`.
     """
@@ -386,22 +384,18 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
                 out.append(())
                 continue
             edges = []
-            for label, pre, delta, growth, exact in steps:
+            for label, pre, delta, growth in steps:
                 for i, need in pre:
                     if state[i] < need:
                         break
                 else:
                     nxt_size = size + growth
-                    if exact or nxt_size > COUNT_MAX:
-                        nxt = game.fire_exact(state, label)
-                        if nxt is None:
-                            continue
-                        nxt_size = sum(nxt)
-                    else:
-                        counts = list(state)
-                        for i, d in delta:
-                            counts[i] += d
-                        nxt = tuple(counts)
+                    if nxt_size > COUNT_MAX:
+                        game.check_overflow(state, delta)
+                    counts = list(state)
+                    for i, d in delta:
+                        counts[i] += d
+                    nxt = tuple(counts)
                     if nxt_size > token_bound:
                         truncated = True
                         continue

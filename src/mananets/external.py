@@ -173,25 +173,22 @@ class ManaGame(TokenGame):
     followed by the pool, over the transitions and any other symbol the
     policy's produce maps or the initial pool mention. A firing of ``t``
     needs its pre-set and ``consume(t)`` units of ``t``'s pool, and adds
-    its post-set and ``produce(t)``. Entries the policy lacks, or holds in
-    another form, make the step exact: it tries the firing on ``Multiset``
-    values, with the checks of :func:`mana_enabled`, on every visit.
+    its post-set and ``produce(t)``. The constructor takes every policy
+    entry through :func:`span_of_transition`, raising what that raises,
+    or ``TypeError`` for a produce that is not a ``Multiset``.
     """
 
     def __init__(self, net: Net, policy: ManaPolicy, initial: ManaState):
         self.net = net
         self.policy = policy
-        pool = set(net.transitions) | set(initial.pool.support())
-        for t in net.transitions:
-            if isinstance(policy.produce.get(t), Multiset):
-                pool.update(policy.produce[t].support())
-        self._compile(initial.marking.support(), sorted(pool))
+        self._compile(initial.marking.support(),
+                      set(net.transitions) | set(initial.pool.support()))
 
-    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset] | None:
-        consume, produce = self.policy.consume.get(label), self.policy.produce.get(label)
-        if type(consume) is int and consume >= 0 and isinstance(produce, Multiset):
-            return Multiset({label: consume}), produce
-        return None
+    def _pool_arcs(self, label: str) -> tuple[Multiset, Multiset]:
+        span = span_of_transition(self.policy, label)
+        if not isinstance(span.produce, Multiset):
+            raise TypeError(f"produce of {label!r} must be a Multiset, got {span.produce!r}")
+        return span.consume, span.produce
 
     def vector(self, state: ManaState) -> tuple:
         return self._vector(state.marking, state.pool)
@@ -202,9 +199,6 @@ class ManaGame(TokenGame):
 
     def key(self, vector) -> tuple:
         return (_segment_key(vector[:self.split]), _segment_key(vector[self.split:]))
-
-    def successor(self, state: ManaState, label: str) -> ManaState | None:
-        return _mana_step(self.net, self.policy, state, label)
 
 
 def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,

@@ -100,10 +100,17 @@ def validate_policy(net: Net, policy: ManaPolicy) -> list[str]:
     if set(policy.produce) != transitions:
         problems.append("produce map is not total on the net's transitions")
     for t in sorted(set(policy.consume) & transitions):
-        if policy.consume[t] < 0:
+        consume = policy.consume[t]
+        if not isinstance(consume, int) or isinstance(consume, bool):
+            problems.append(f"consume count for {t!r} is not an int: {consume!r}")
+        elif consume < 0:
             problems.append(f"consume count for {t!r} is negative")
     for t in sorted(set(policy.produce) & transitions):
-        for target in policy.produce[t].support():
+        produce = policy.produce[t]
+        if not isinstance(produce, Multiset):
+            problems.append(f"produce of {t!r} is not a Multiset: {produce!r}")
+            continue
+        for target in produce.support():
             if target not in transitions:
                 problems.append(f"produce of {t!r} targets unknown transition {target!r}")
     return problems
@@ -286,10 +293,6 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     :mod:`mananets.functors` (count dicts and step tuples); no
     ``PresentedFunctor`` is built, and witnesses are read off the form.
     """
-    problems = validate_net(net)
-    if problems:
-        raise ValueError(f"net is not well formed: {problems[0].kind} {problems[0].subject}")
-
     shared = _built_side(net)
     mn, double, eps, delta = shared
     triple = iterated_construction(double)

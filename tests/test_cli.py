@@ -250,6 +250,8 @@ DATA = Path(__file__).parent / "data"
     ("loop", ["reach", "--depth", "12", "--max-tokens", "8"]),
     ("loop", ["equiv", "--depth", "10", "--max-tokens", "10"]),
     ("loop", ["check-laws", "--samples", "5", "--seed", "0"]),
+    ("ring6", ["run", "--steps", "12", "--seed", "3"]),
+    ("loop", ["run", "--steps", "12", "--seed", "3", "--mana"]),
 ])
 def test_golden_output(capsys, name, argv):
     """Stdout is byte for byte what the checked-in file holds."""

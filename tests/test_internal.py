@@ -10,7 +10,8 @@ from mananets import (EMPTY, ManaPolicy, mana_place_name, Multiset, NameClashErr
                       functor_of_net_morphism, generalized_internal_construction,
                       identity_functor, internal_construction,
                       iterated_construction, lift_functor,
-                      occurrence_multiset, run_trace, validate_functor)
+                      occurrence_multiset, run_trace, validate_functor,
+                      validate_policy)
 from mananets import functors, internal
 from mananets.execution import trace_equivalent
 from mananets.functors import PresentedFunctor, compare_functors
@@ -109,7 +110,13 @@ ODD_CONSUME = [0, 1, 2, 3, COUNT_MAX, COUNT_MAX + 1, True, 1.0, Count(2)]
 
 
 def built_by_multiset_arithmetic(net, policy):
-    """The plain-named build with every arc summed as a Multiset."""
+    """The plain-named build with every arc summed as a Multiset.
+
+    The policy is validated first, as the construction does.
+    """
+    problems = validate_policy(net, policy)
+    if problems:
+        raise PolicyError(problems[0])
     mana = {t: mana_place_name(t) for t in net.transitions}
     return Net(net.places + tuple(mana.values()), net.transitions,
                {t: net.pre[t] + Multiset({mana[t]: policy.consume[t]})
@@ -137,6 +144,21 @@ def test_construction_matches_multiset_arithmetic(seed):
              for t, p in policy.produce.items()})
     got = build_outcome(lambda: generalized_internal_construction(net, policy).built)
     assert got == build_outcome(lambda: built_by_multiset_arithmetic(net, policy))
+
+
+@pytest.mark.parametrize("consume, produce, shown", [
+    (True, EMPTY, "True"), (1.0, EMPTY, "1.0"), ("1", EMPTY, "'1'"),
+    (1, {"u": 1}, "{'u': 1}")])
+def test_odd_policy_entries_are_reported_not_crashed_on(abc_net, consume, produce, shown):
+    policy = ManaPolicy({"u": consume}, {"u": produce})
+    problems = validate_policy(abc_net, policy)
+    assert len(problems) == 1 and problems[0].endswith(shown)
+    with pytest.raises(PolicyError):
+        generalized_internal_construction(abc_net, policy)
+
+
+def test_int_subclass_consume_passes_validation(abc_net):
+    assert validate_policy(abc_net, ManaPolicy({"u": Count(2)}, {"u": EMPTY})) == []
 
 
 def test_counit_erases_mana_marking(abc_net):

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mananets import (COUNT_MAX, CountOverflowError, EquivalenceReport,
+from mananets import (COUNT_MAX, EMPTY, CountOverflowError, EquivalenceReport,
                       ManaPolicy, ManaState, Multiset, Net, UnknownSymbolError,
                       check_equivalence, graph_to_json_dict, internalize,
                       mana_reach, reach, state_to_object)
 from mananets.documents import emit_graph_json
 from mananets.execution import ReachGraph, TokenGame, explore, order_nodes
-from mananets.external import ManaGame, mana_enabled, mana_fire
+from mananets.external import ManaGame, mana_enabled, mana_fire, span_of_transition
 
 # -- the reference -------------------------------------------------------------
 
@@ -65,6 +65,9 @@ def ref_reach(net, initial, depth_bound, token_bound):
 
 
 def ref_mana_reach(net, policy, initial, depth_bound, token_bound):
+    for transition in sorted(net.transitions):
+        span_of_transition(policy, transition)
+
     def successors(state):
         for transition in sorted(net.transitions):
             if mana_enabled(net, policy, state, transition):
@@ -198,12 +201,17 @@ def test_check_equivalence_matches_reference(data):
 
 
 def game_and_root(data, net, initial):
-    """A plain or a mana game on `net`, the policy possibly partial, and its root."""
+    """How to build a plain or a mana game on `net`, its root, and its policy.
+
+    The policy is None for a plain game and possibly partial otherwise.
+    Building the game checks every entry and may raise, so callers build
+    it inside ``outcome(...)``.
+    """
     if data.draw(st.booleans()):
-        return TokenGame(net, initial), initial
+        return (lambda: TokenGame(net, initial)), initial, None
     policy = data.draw(policies(net, partial=data.draw(st.booleans())))
     root = ManaState(initial, data.draw(pools(net)))
-    return ManaGame(net, policy, root), root
+    return (lambda: ManaGame(net, policy, root)), root, policy
 
 
 def ordered(game, root, depth, bound):
@@ -226,15 +234,15 @@ def ordered(game, root, depth, bound):
 @given(st.data())
 def test_ordered_explore_matches_reference(data):
     net = data.draw(nets())
-    game, root = game_and_root(data, net, data.draw(markings))
+    build, root, policy = game_and_root(data, net, data.draw(markings))
     depth, bound = data.draw(bounds)
-    if isinstance(game, ManaGame):
-        reference = outcome(ref_mana_reach, net, game.policy, root, depth, bound)
+    if policy is not None:
+        reference = outcome(ref_mana_reach, net, policy, root, depth, bound)
     else:
         reference = outcome(ref_reach, net, root, depth, bound)
     if isinstance(reference, ReachGraph):
         reference = (reference.root, reference.nodes, reference.edges, reference.truncated)
-    assert outcome(ordered, game, root, depth, bound) == reference
+    assert outcome(lambda: ordered(build(), root, depth, bound)) == reference
 
 
 def test_marking_on_a_mana_place_name_merges_with_the_pool():
@@ -265,14 +273,46 @@ def test_pool_overflow_is_reported_with_its_symbol():
     assert err.value.symbol == "u"
 
 
-def test_transition_missing_from_policy_raises_once_enabled():
+def test_pool_and_marking_overflow_report_the_pool():
+    net = Net.build(["a"], {"u": ({}, {"a": 1})})
+    policy = ManaPolicy({"u": 0}, {"u": Multiset({"u": 1})})
+    initial = ManaState(Multiset({"a": COUNT_MAX}), Multiset({"u": COUNT_MAX}))
+    with pytest.raises(CountOverflowError) as err:
+        mana_reach(net, policy, initial, 3, 4 * COUNT_MAX)
+    assert err.value.symbol == "u"
+    assert outcome(mana_reach, net, policy, initial, 3, 4 * COUNT_MAX) == \
+        outcome(ref_mana_reach, net, policy, initial, 3, 4 * COUNT_MAX)
+
+
+def test_two_marking_overflows_report_the_first_in_post_order():
+    net = Net.build(["a", "b"], {"u": ({"a": 1}, Multiset({"b": 1, "a": 2}))})
+    full = Multiset({"a": COUNT_MAX, "b": COUNT_MAX})
+    with pytest.raises(CountOverflowError) as err:
+        reach(net, full, 3, 4 * COUNT_MAX)
+    assert (err.value.symbol, err.value.count) == ("b", COUNT_MAX + 1)
+    assert outcome(reach, net, full, 3, 4 * COUNT_MAX) == \
+        outcome(ref_reach, net, full, 3, 4 * COUNT_MAX)
+
+
+def test_malformed_entries_raise_when_the_game_is_built():
     net = Net.build(["a"], {"u": ({"a": 1}, {})})
-    policy = ManaPolicy({}, {})
     idle = ManaState(Multiset(), Multiset())
-    assert len(mana_reach(net, policy, idle, 3, 5).nodes) == 1
-    ready = ManaState(Multiset({"a": 1}), Multiset())
-    assert outcome(mana_reach, net, policy, ready, 3, 5)[:2] == \
-        ("raised", UnknownSymbolError)
+    missing = ManaPolicy({}, {})
+    assert outcome(mana_reach, net, missing, idle, 3, 5)[:2] == ("raised", UnknownSymbolError)
+    for consume, error in ((True, TypeError), (-1, ValueError), (1.0, TypeError)):
+        policy = ManaPolicy({"u": consume}, {"u": EMPTY})
+        assert outcome(ManaGame, net, policy, idle)[:2] == ("raised", error)
+        assert outcome(mana_reach, net, policy, idle, 3, 5) == \
+            outcome(ref_mana_reach, net, policy, idle, 3, 5)
+    with pytest.raises(TypeError):
+        ManaGame(net, ManaPolicy({"u": 1}, {"u": {"u": 1}}), idle)
+    unwired = Net(("a",), ("u",), {}, {"u": EMPTY})
+    with pytest.raises(UnknownSymbolError):
+        TokenGame(unwired, Multiset())
+    with pytest.raises(UnknownSymbolError):
+        ManaGame(unwired, ManaPolicy.plain(unwired), idle)
+    with pytest.raises(TypeError):
+        TokenGame(Net(("a",), ("u",), {"u": {"a": 1}}, {"u": EMPTY}), Multiset())
 
 
 # -- the graph writer ----------------------------------------------------------------
@@ -305,17 +345,17 @@ def test_writer_is_byte_identical_to_json_dumps(data):
     net = data.draw(named_nets())
     depth = data.draw(st.integers(0, 4))
     bound = data.draw(st.one_of(st.integers(0, 6), st.just(4 * COUNT_MAX)))
-    # A stray marking symbol, and counts near COUNT_MAX whose firings take
-    # the exact path, as do policy entries that are missing or invalid.
+    # A stray marking symbol, counts near COUNT_MAX whose firings may
+    # overflow, and policy entries that are missing or invalid.
     initial = data.draw(multisets(list(net.places) + ["stray~"], counts))
-    game, root = game_and_root(data, net, initial)
-    if isinstance(game, ManaGame):
-        library = outcome(mana_reach, net, game.policy, root, depth, bound)
+    build, root, policy = game_and_root(data, net, initial)
+    if policy is not None:
+        library = outcome(mana_reach, net, policy, root, depth, bound)
     else:
         library = outcome(reach, net, root, depth, bound)
     if isinstance(library, ReachGraph):
         library = canonical(library)
-    assert outcome(written, game, root, depth, bound) == library
+    assert outcome(lambda: written(build(), root, depth, bound)) == library
 
 
 def test_writer_empty_node_and_no_edges():

@@ -19,11 +19,11 @@ from .documents import (NetDocument, emit_json, graph_to_json_dict,
 from .dot import export_dot, format_marking
 from .errors import (CountOverflowError, DocumentError, MananetsError,
                      NameClashError, NotEnabledError, NotManaEnabledError,
-                     PolicyError, ShapeViolationError, UnknownSymbolError)
-from .execution import (DEFAULT_EQUIVALENCE_BOUND, Marking, ReachGraph, Trace,
-                        concat_traces, enabled, explore, fire,
-                        occurrence_multiset, reach, replay, run_trace,
-                        simulate, trace_equivalent)
+                     PolicyError, ShapeViolationError, TraceClassBudgetError,
+                     UnknownSymbolError)
+from .execution import (Marking, ReachGraph, Trace, concat_traces, enabled,
+                        explore, fire, occurrence_multiset, reach, replay,
+                        run_trace, simulate, trace_equivalent)
 from .external import (AffineSpan, ManaState, check_functor_laws,
                        check_laxator_naturality, compose_spans, laxator,
                        mana_enabled, mana_fire, mana_reach, mana_simulate,
@@ -46,14 +46,13 @@ from .reports import LawReport, LawResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSpan", "COUNT_MAX", "CountOverflowError",
-    "DEFAULT_EQUIVALENCE_BOUND", "DocumentError", "EMPTY",
+    "AffineSpan", "COUNT_MAX", "CountOverflowError", "DocumentError", "EMPTY",
     "EquivalenceReport", "LawReport", "LawResult", "MANA_PREFIX",
     "ManaNet", "ManaPolicy", "ManaState", "MananetsError", "Marking",
     "Multiset", "NameClashError", "Net", "NetDocument", "NetMorphism",
     "NotEnabledError", "NotManaEnabledError", "PolicyError",
     "PresentedFunctor", "ReachGraph", "ShapeViolationError", "Trace",
-    "UnknownSymbolError", "Violation", "apply_functor",
+    "TraceClassBudgetError", "UnknownSymbolError", "Violation", "apply_functor",
     "apply_functor_to_marking", "check_comonad_laws", "check_equivalence",
     "check_functor_laws", "check_laxator_naturality", "compose_functors",
     "compose_morphisms", "compose_spans", "comultiplication", "concat_traces",

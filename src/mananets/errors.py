@@ -54,6 +54,14 @@ class NotManaEnabledError(NotEnabledError):
         self.args = (f"transition {transition!r} is not enabled: missing {' and '.join(sides)}",)
 
 
+class TraceClassBudgetError(MananetsError):
+    """A trace-equivalence search met more orderings than its budget allows."""
+
+    def __init__(self, budget: int):
+        super().__init__(f"trace class has more than {budget} orderings")
+        self.budget = budget
+
+
 class NameClashError(MananetsError):
     """A generated place name collides with an existing symbol."""
 

@@ -4,7 +4,7 @@ A marking is just a :class:`~mananets.multiset.Multiset` over the places
 of a net. A :class:`Trace` (an initial marking plus a firing sequence)
 stands for one execution of the net; two traces that differ only in the
 order of independent firings describe the same execution, which is what
-:func:`trace_equivalent` decides up to a search bound.
+:func:`trace_equivalent` decides, within a budget on the size of a class.
 
 Bounded reachability runs on the net compiled once into its incidence
 form (a :class:`TokenGame`): every symbol that can occur gets a
@@ -27,15 +27,17 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CountOverflowError, NotEnabledError, UnknownSymbolError
+from .errors import (CountOverflowError, NotEnabledError, TraceClassBudgetError,
+                     UnknownSymbolError)
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
 
 #: Markings are plain multisets over a net's places.
 Marking = Multiset
 
-#: Default search bound for trace_equivalent, in trace length.
-DEFAULT_EQUIVALENCE_BOUND = 8
+#: Most orderings trace_equivalent visits in one class: 8!, the largest
+#: class a trace of at most 8 steps can have.
+TRACE_CLASS_BUDGET = 40_320
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,16 @@ def occurrence_counts(steps) -> dict[str, int]:
     return counts
 
 
-def trace_equivalent(t1: Trace, t2: Trace,
-                     bound: int = DEFAULT_EQUIVALENCE_BOUND) -> bool | None:
+def trace_equivalent(t1: Trace, t2: Trace) -> bool:
     """Decide whether two traces describe the same execution.
 
     Equivalent traces must share the initial marking, the final marking
     and the occurrence multiset, and must be connected by swaps of
     adjacent independent firings (firings that could have happened in
-    either order). The swap search is exhaustive, so the answer is exact
-    for traces of length <= `bound`; longer traces whose invariants agree
-    return None (inconclusive) rather than guessing.
+    either order). The swap search is breadth-first and exhaustive, so
+    the answer is exact at any length; it raises
+    :class:`TraceClassBudgetError` instead when the class of `t1` holds
+    more than ``TRACE_CLASS_BUDGET`` orderings.
     """
     if t1.net != t2.net:
         return False
@@ -134,9 +136,8 @@ def trace_equivalent(t1: Trace, t2: Trace,
         return False
     if run_trace(t1) != run_trace(t2):
         return False
-    if len(t1.steps) > bound:
-        return None
 
+    budget = TRACE_CLASS_BUDGET
     net = t1.net
     goal = t2.steps
     seen = {t1.steps}
@@ -158,6 +159,8 @@ def trace_equivalent(t1: Trace, t2: Trace,
             if swapped == goal:
                 return True
             if swapped not in seen:
+                if len(seen) >= budget:
+                    raise TraceClassBudgetError(budget)
                 seen.add(swapped)
                 queue.append(swapped)
     return False

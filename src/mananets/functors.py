@@ -4,8 +4,8 @@ Execution categories are free, so a strict monoidal functor is pinned
 down by a multiset of target places for each source place and a target
 trace for each source transition. Composition and equality therefore
 reduce to computations on these generator images; trace images are
-compared with :func:`~mananets.execution.trace_equivalent`, whose
-inconclusive answer propagates.
+compared with :func:`~mananets.execution.trace_equivalent`, so a
+comparison is True or False, or raises what that raises.
 
 The algebra runs on one internal generator form, a :class:`GeneratorForm`:
 an object map ``place -> {target symbol: count}`` (a matrix over the
@@ -222,45 +222,38 @@ def _sorted(counts: dict) -> dict:
     return dict(sorted(counts.items()))
 
 
-def _compare_forms(left: GeneratorForm, right: GeneratorForm,
-                   bound: int = 8) -> tuple[bool | None, dict | None]:
+def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
+    """The witness of the first mismatch between two forms, or None when equal."""
     if left.source != right.source or left.target != right.target:
-        return False, {"kind": "boundary", "detail": "source or target nets differ"}
+        return {"kind": "boundary", "detail": "source or target nets differ"}
     for p in left.source.places:
         a, b = left.objects[p], right.objects[p]
         if a != b:
-            return False, {"kind": "object", "generator": p,
-                           "left": _sorted(a), "right": _sorted(b)}
-    verdict: bool | None = True
+            return {"kind": "object", "generator": p, "left": _sorted(a), "right": _sorted(b)}
     for t in left.source.transitions:
         (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
-        same = trace_equivalent(Trace(left.target, _multiset(a_start), a_steps),
-                                Trace(right.target, _multiset(b_start), b_steps), bound)
-        if same is False:
-            return False, {"kind": "morphism", "generator": t,
-                           "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
-                           "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}
-        if same is None:
-            verdict = None
-    if verdict is None:
-        return None, {"kind": "morphism", "detail": "trace comparison inconclusive"}
-    return True, None
+        if not trace_equivalent(Trace(left.target, _multiset(a_start), a_steps),
+                                Trace(right.target, _multiset(b_start), b_steps)):
+            return {"kind": "morphism", "generator": t,
+                    "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
+                    "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}
+    return None
 
 
-def compare_functors(left: PresentedFunctor, right: PresentedFunctor,
-                     bound: int = 8) -> tuple[bool | None, dict | None]:
+def compare_functors(left: PresentedFunctor,
+                     right: PresentedFunctor) -> tuple[bool, dict | None]:
     """Generator-wise equality with a witness for the first mismatch.
 
-    Returns ``(verdict, witness)`` where the verdict is True, False or
-    None (inconclusive trace comparison) and the witness names the
-    offending generator. Raises ``ValueError`` when an image trace lives
-    on a net other than its functor's target.
+    Returns ``(verdict, witness)``: the verdict is True exactly when the
+    witness, which names the offending generator, is None. Raises
+    ``ValueError`` when an image trace lives on a net other than its
+    functor's target, and what ``trace_equivalent`` raises.
     """
-    return _compare_forms(_to_form(left), _to_form(right), bound)
+    witness = _compare_forms(_to_form(left), _to_form(right))
+    return witness is None, witness
 
 
-def functors_equal(left: PresentedFunctor, right: PresentedFunctor,
-                   bound: int = 8) -> bool | None:
-    """Generator-wise equality of presentations (None when inconclusive)."""
-    verdict, _ = compare_functors(left, right, bound)
+def functors_equal(left: PresentedFunctor, right: PresentedFunctor) -> bool:
+    """Generator-wise equality of presentations."""
+    verdict, _ = compare_functors(left, right)
     return verdict

@@ -279,8 +279,10 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
 
     Checks both counit laws and coassociativity generator-wise (complete
     by freeness), plus naturality of counit and comultiplication on the
-    supplied net morphisms. Inconclusive trace comparisons fail the check
-    conservatively and are reported as such.
+    supplied net morphisms. A law passes exactly when the comparison
+    finds no counterexample; a trace class past the budget of
+    :func:`~mananets.execution.trace_equivalent` raises
+    :class:`~mananets.errors.TraceClassBudgetError`.
 
     Each distinct morphism is checked once: a morphism equal to an
     earlier one gives the same squares, so it cannot change the report,
@@ -301,15 +303,14 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     results = []
 
     left = _compose_forms(_lift_form(eps, double, mn), delta)
-    results.append(law_result("left-counit", *_compare_forms(left, identity)))
+    results.append(law_result("left-counit", _compare_forms(left, identity)))
 
     right = _compose_forms(_counit_form(double), delta)
-    results.append(law_result("right-counit", *_compare_forms(right, identity)))
+    results.append(law_result("right-counit", _compare_forms(right, identity)))
 
     path_outer = _compose_forms(_comultiplication_form(double, triple), delta)
     path_lifted = _compose_forms(_lift_form(delta, double, triple), delta)
-    results.append(law_result("coassociativity",
-                              *_compare_forms(path_outer, path_lifted)))
+    results.append(law_result("coassociativity", _compare_forms(path_outer, path_lifted)))
 
     results.extend(_naturality_results(morphisms, net, shared))
     return LawReport(tuple(results), notes=(COMULTIPLICATION_READING,))
@@ -324,10 +325,9 @@ def _built_side(net: Net) -> tuple:
 
 def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
                         shared: tuple) -> list[LawResult]:
-    counit_verdict: bool | None = True
-    counit_witness = None
-    delta_verdict: bool | None = True
-    delta_witness = None
+    # Both squares are composed and compared for every distinct morphism,
+    # so anything that raises does; each law keeps its first counterexample.
+    counit_witness = delta_witness = None
     sides = {_net_key(net): shared}
     seen = set()
     for index, morphism in enumerate(morphisms):
@@ -346,23 +346,18 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
         tmn, tdd, t_eps, t_delta = sides[target_key]
         lifted = _lift_form(functor, smn, tmn)
 
-        lhs = _compose_forms(t_eps, lifted)
-        rhs = _compose_forms(functor, s_eps)
-        verdict, witness = _compare_forms(lhs, rhs)
-        counit_verdict, counit_witness = _merge(counit_verdict, counit_witness,
-                                                verdict, witness, index)
+        witness = _compare_forms(_compose_forms(t_eps, lifted),
+                                 _compose_forms(functor, s_eps))
+        if witness is not None and counit_witness is None:
+            counit_witness = {"morphism_index": index, **witness}
 
         lifted_twice = _lift_form(lifted, sdd, tdd)
-        lhs = _compose_forms(t_delta, lifted)
-        rhs = _compose_forms(lifted_twice, s_delta)
-        verdict, witness = _compare_forms(lhs, rhs)
-        delta_verdict, delta_witness = _merge(delta_verdict, delta_witness,
-                                              verdict, witness, index)
-    if not seen:
-        return [LawResult("counit-naturality", "pass"),
-                LawResult("comultiplication-naturality", "pass")]
-    return [law_result("counit-naturality", counit_verdict, counit_witness),
-            law_result("comultiplication-naturality", delta_verdict, delta_witness)]
+        witness = _compare_forms(_compose_forms(t_delta, lifted),
+                                 _compose_forms(lifted_twice, s_delta))
+        if witness is not None and delta_witness is None:
+            delta_witness = {"morphism_index": index, **witness}
+    return [law_result("counit-naturality", counit_witness),
+            law_result("comultiplication-naturality", delta_witness)]
 
 
 def _net_key(net: Net) -> tuple:
@@ -370,14 +365,3 @@ def _net_key(net: Net) -> tuple:
     # cannot be hashed themselves.
     return (net.places, net.transitions, frozenset(net.pre.items()),
             frozenset(net.post.items()))
-
-
-def _merge(acc_verdict, acc_witness, verdict, witness, index):
-    # Keep the first failure; inconclusive only downgrades a clean pass.
-    if acc_verdict is False:
-        return acc_verdict, acc_witness
-    if verdict is False:
-        return False, {"morphism_index": index, **(witness or {})}
-    if verdict is None and acc_verdict is True:
-        return None, {"morphism_index": index, **(witness or {})}
-    return acc_verdict, acc_witness

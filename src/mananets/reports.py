@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LawResult:
-    """Outcome of one law check: pass, fail or inconclusive."""
+    """Outcome of one law check: "pass", or "fail" with a counterexample."""
 
     law: str
     status: str
@@ -36,10 +36,8 @@ class LawReport:
         return [r.to_json_dict() for r in self.results]
 
 
-def law_result(law: str, verdict: bool | None,
-               counterexample: Mapping | None = None) -> LawResult:
-    """Map a three-valued verdict onto a LawResult."""
-    if verdict is True:
+def law_result(law: str, counterexample: Mapping | None) -> LawResult:
+    """A law passes exactly when it has no counterexample."""
+    if counterexample is None:
         return LawResult(law, "pass")
-    status = "fail" if verdict is False else "inconclusive"
-    return LawResult(law, status, counterexample)
+    return LawResult(law, "fail", counterexample)

@@ -133,7 +133,7 @@ def test_internalize_externalize_inverse(capsys, abc_path, tmp_path):
     built_path = str(tmp_path / "built.json")
     code, out, _ = run(capsys, "internalize", abc_path, "-o", built_path)
     assert code == 0 and out == ""
-    built = json.loads(open(built_path).read())
+    built = json.loads(Path(built_path).read_text(encoding="utf-8"))
     assert "mana:u" in built["places"]
     assert built["marking"] == {"A": 1, "B": 1, "mana:u": 2}
 

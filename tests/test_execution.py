@@ -3,9 +3,10 @@ from collections import deque
 
 import pytest
 
-from mananets import (EMPTY, Net, NotEnabledError, Trace,
+from mananets import (EMPTY, Net, NotEnabledError, Trace, TraceClassBudgetError,
                       concat_traces, enabled, fire, occurrence_multiset,
                       reach, replay, run_trace, simulate, trace_equivalent)
+from mananets import execution
 from mananets.sampling import random_marking, random_net, random_trace
 
 
@@ -167,19 +168,66 @@ def test_identical_traces_equivalent_beyond_bound(ms):
     net = Net.build(["A"], {"u": ({"A": 1}, {"A": 1})})
     steps = ("u",) * 12
     t = Trace(net, ms(A=1), steps)
-    assert trace_equivalent(t, t, bound=8) is True
+    assert trace_equivalent(t, t) is True
 
 
-def test_beyond_bound_is_inconclusive(ms):
-    net = Net.build(["A", "B", "X", "Y"], {
-        "u": ({"A": 1}, {"A": 1}),
-        "v": ({"B": 1}, {"B": 1}),
-    })
-    initial = ms(A=1, B=1)
-    t1 = Trace(net, initial, ("u", "v", "u"))
-    t2 = Trace(net, initial, ("v", "u", "u"))
-    assert trace_equivalent(t1, t2, bound=2) is None
-    assert trace_equivalent(t1, t2) is True
+#: Two processes share the lock L (acquire, then release), next to the
+#: self-loops x and y. A release followed by the other side's acquire
+#: cannot swap, since the acquire needs the lock the release returns, so
+#: the two orders of the critical sections are a mutex hole: same
+#: endpoints and occurrences, no chain of swaps between them.
+MUTEX = Net.build(["L", "A0", "A1", "B0", "B1", "X", "Y"], {
+    "acq_a": ({"L": 1, "A0": 1}, {"A1": 1}),
+    "rel_a": ({"A1": 1}, {"L": 1, "A0": 1}),
+    "acq_b": ({"L": 1, "B0": 1}, {"B1": 1}),
+    "rel_b": ({"B1": 1}, {"L": 1, "B0": 1}),
+    "x": ({"X": 1}, {"X": 1}),
+    "y": ({"Y": 1}, {"Y": 1}),
+})
+A_THEN_B = ("acq_a", "rel_a", "acq_b", "rel_b")
+B_THEN_A = ("acq_b", "rel_b", "acq_a", "rel_a")
+
+
+@pytest.mark.parametrize("steps1, steps2, expected", [
+    (("acq_a", "x", "rel_a", "y", "x", "y", "x", "y", "x"),
+     ("x", "y", "acq_a", "y", "x", "rel_a", "x", "y", "x"), True),
+    (A_THEN_B + ("x",) * 5, ("x",) * 5 + B_THEN_A, False),
+    (("x", "y") * 5, ("y", "x") * 5, True),
+    (A_THEN_B + ("x",) * 5 + ("y",), ("y",) + B_THEN_A + ("x",) * 5, False),
+    (("x",) * 3 + A_THEN_B + ("x",) * 4, ("x",) * 7 + A_THEN_B, True),
+    (A_THEN_B + ("x",) * 7, ("x",) * 7 + B_THEN_A, False),
+    (("x", "y") * 6, ("y", "x") * 6, True),
+    (("x",) * 4 + A_THEN_B + ("x",) * 4, B_THEN_A + ("x",) * 8, False),
+], ids=[f"{n}-{kind}" for n in (9, 10, 11, 12) for kind in ("swaps", "hole")])
+def test_long_pairs_match_oracle(ms, steps1, steps2, expected):
+    # 9 to 12 steps: past the length the search once gave up at.
+    initial = ms(L=1, A0=1, B0=1, X=1, Y=1)
+    t1, t2 = Trace(MUTEX, initial, steps1), Trace(MUTEX, initial, steps2)
+    assert 9 <= len(t1) <= 12
+    # Only the swap search tells the pair apart.
+    assert occurrence_multiset(t1) == occurrence_multiset(t2)
+    assert run_trace(t1) == run_trace(t2)
+    assert oracle_equivalent(t1, t2) is expected
+    assert trace_equivalent(t1, t2) is expected
+    assert trace_equivalent(t2, t1) is expected
+
+
+def test_class_past_the_budget_raises(ms, monkeypatch):
+    # A false pair's search visits the whole class of t1: A_THEN_B in its
+    # fixed order with x and y anywhere, 6 * 5 = 30 orderings.
+    initial = ms(L=1, A0=1, B0=1, X=1, Y=1)
+    t1 = Trace(MUTEX, initial, A_THEN_B + ("x", "y"))
+    t2 = Trace(MUTEX, initial, ("x", "y") + B_THEN_A)
+    monkeypatch.setattr(execution, "TRACE_CLASS_BUDGET", 30)
+    assert trace_equivalent(t1, t2) is False
+    monkeypatch.setattr(execution, "TRACE_CLASS_BUDGET", 29)
+    with pytest.raises(TraceClassBudgetError) as err:
+        trace_equivalent(t1, t2)
+    assert err.value.budget == 29
+    # Pairs the invariants decide never search.
+    monkeypatch.setattr(execution, "TRACE_CLASS_BUDGET", 0)
+    assert trace_equivalent(t1, t1) is True
+    assert trace_equivalent(t1, Trace(MUTEX, initial, ("x", "y"))) is False
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -121,10 +121,34 @@ STRAYS = ("x", "mana:t0")
 
 counts = st.one_of(st.integers(0, 3), st.integers(0, 3),
                    st.integers(COUNT_MAX - 2, COUNT_MAX))
+#: Counts one below the bound or at it: adding 2 to each of two such
+#: counts in one firing pushes both past the bound.
+full_counts = st.integers(COUNT_MAX - 1, COUNT_MAX)
 
 
-def multisets(symbols, values=st.integers(0, 2)):
-    return st.dictionaries(st.sampled_from(symbols), values, max_size=3).map(Multiset)
+def multisets(symbols, values=st.integers(0, 2), min_size=0):
+    return st.dictionaries(st.sampled_from(symbols), values, min_size=min_size,
+                           max_size=3).map(Multiset)
+
+
+def arcs(symbols):
+    """Arc multisets, and sometimes 2 of each of two or three symbols
+    inserted in reverse sorted order, so that the order in which a firing
+    meets them differs from the coordinate order."""
+    if len(symbols) < 2:
+        return multisets(symbols)
+    reversed_sets = st.lists(st.sampled_from(symbols), min_size=2, max_size=3,
+                             unique=True).map(
+        lambda keys: Multiset({k: 2 for k in sorted(keys, reverse=True)}))
+    return st.one_of(multisets(symbols), reversed_sets)
+
+
+def near_full(symbols):
+    """Multisets of `counts`, and sometimes two or more counts near ``COUNT_MAX``."""
+    if len(symbols) < 2:
+        return multisets(symbols, counts)
+    return st.one_of(multisets(symbols, counts),
+                     multisets(symbols, full_counts, min_size=2))
 
 
 @st.composite
@@ -133,7 +157,7 @@ def nets(draw, stray_arcs=True):
     names = draw(st.lists(st.sampled_from(TRANSITIONS), unique=True))
     arc_symbols = places + list(STRAYS[:1]) if stray_arcs else places
     pre = {t: draw(multisets(arc_symbols)) for t in names}
-    post = {t: draw(multisets(arc_symbols)) for t in names}
+    post = {t: draw(arcs(arc_symbols)) for t in names}
     return Net(tuple(places), tuple(names), pre, post)
 
 
@@ -145,18 +169,18 @@ def policies(draw, net, partial=False):
     if partial:
         amounts = st.one_of(amounts, st.sampled_from([-1, True]))
     consume = {t: draw(amounts) for t in names}
-    produce = {t: draw(multisets(names or ["t0"])) for t in names}
+    produce = {t: draw(arcs(names or ["t0"])) for t in names}
     if partial and names:
         for t in draw(st.lists(st.sampled_from(names), unique=True)):
             del consume[t]
     return ManaPolicy(consume, produce)
 
 
-markings = multisets(list(PLACES) + list(STRAYS), counts)
+markings = near_full(list(PLACES) + list(STRAYS))
 
 
 def pools(net):
-    return multisets(list(net.transitions) + ["zz"], counts)
+    return near_full(list(net.transitions) + ["zz"])
 
 
 bounds = st.tuples(st.integers(0, 5), st.one_of(st.integers(0, 8),

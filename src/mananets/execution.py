@@ -444,13 +444,30 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     from it (reproducibly, given a seeded Random).
     """
     labels = sorted(net.transitions)
-    marking = initial
+    pre = net.pre
+    # The marking as a count dict that may hold zeros; each firing takes
+    # its pre, then adds its post in the order Multiset addition does, so
+    # an overflow names the same symbol.
+    counts = dict(initial._entries)
     steps: list[str] = []
     for _ in range(max_steps):
-        candidates = [t for t in labels if net.pre[t] <= marking]
+        candidates = []
+        for t in labels:
+            for symbol, need in pre[t]._entries.items():
+                if counts.get(symbol, 0) < need:
+                    break
+            else:
+                candidates.append(t)
         if not candidates:
             break
         choice = rng.choice(candidates) if rng is not None else candidates[0]
-        marking = fire(net, marking, choice)
+        taken, given = net.arcs(choice)
+        for symbol, need in taken._entries.items():
+            counts[symbol] -= need
+        for symbol, count in given._entries.items():
+            total = counts.get(symbol, 0) + count
+            if total > COUNT_MAX:
+                raise CountOverflowError(symbol, total)
+            counts[symbol] = total
         steps.append(choice)
     return Trace(net, initial, tuple(steps))

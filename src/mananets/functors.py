@@ -12,11 +12,14 @@ an object map ``place -> {target symbol: count}`` (a matrix over the
 naturals) and a morphism map ``transition -> (start counts, steps)``.
 Composition lifts counts through the outer object map and concatenates
 the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
-1990); comparison checks the object maps for equality and hands each
-pair of transition images to ``trace_equivalent`` as traces built for
-that call only. :class:`PresentedFunctor` is the boundary type: the
-public functions convert to the form on the way in (:func:`_to_form`)
-and back on the way out (:func:`_present`), and
+1990); comparison checks the object maps for equality, settles each
+pair of identical transition images with one
+:func:`~mananets.execution.replay` (all that ``trace_equivalent`` does
+with such a pair) and hands each pair that differs to
+``trace_equivalent`` as traces built for that call only.
+:class:`PresentedFunctor` is the boundary type: the public functions
+convert to the form on the way in (:func:`_to_form`) and back on the
+way out (:func:`_present`), and
 :func:`~mananets.internal.check_comonad_laws` stays on the form
 throughout. The form reads every image trace on the functor's target
 net, so :func:`_to_form` raises ``ValueError`` on an image trace that
@@ -29,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, run_trace, trace_equivalent
+from .execution import Trace, replay, run_trace, trace_equivalent
 from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
@@ -131,23 +134,19 @@ def apply_functor_to_marking(functor: PresentedFunctor, marking: Multiset) -> Mu
     return lift_multiset_map(functor.object_map, marking)
 
 
-def _apply(objects: Mapping, images: Mapping, start: dict,
-           steps: tuple) -> tuple[dict, tuple]:
-    """Image of a trace given as start counts and steps.
+def _image_steps(images: Mapping, steps: tuple) -> tuple:
+    """The firing sequence of a trace's image.
 
-    `objects` and `images` are a form's object and morphism maps (object
-    images may also be multisets). Every occurrence of a transition is
-    replaced by (a copy of) its image firing sequence; extra ambient
-    tokens never disable a firing, so the result replays whenever the
-    input does.
+    `images` is a form's morphism map. Every occurrence of a transition
+    is replaced by its image firing sequence; extra ambient tokens never
+    disable a firing, so the image replays whenever the input does.
     """
-    start = lift_counts(objects, start)
     out: list[str] = []
     for transition in steps:
         if transition not in images:
             raise KeyError(f"functor has no image for transition {transition!r}")
         out.extend(images[transition][1])
-    return start, tuple(out)
+    return tuple(out)
 
 
 def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
@@ -155,8 +154,21 @@ def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
     images = functor.morphism_map
     used = {t: (images[t].initial._entries, images[t].steps)
             for t in set(trace.steps) if t in images}
-    start, steps = _apply(functor.object_map, used, trace.initial._entries, trace.steps)
-    return Trace(functor.target, _multiset(start), steps)
+    start = lift_counts(functor.object_map, trace.initial._entries)
+    return Trace(functor.target, _multiset(start), _image_steps(used, trace.steps))
+
+
+def _lift_image(objects: dict, counts: dict) -> dict:
+    """`counts` lifted through a form's object map.
+
+    A single symbol with count 1 lifts to that symbol's own image, which
+    is returned itself rather than copied: form dicts are never mutated.
+    """
+    if len(counts) == 1:
+        for symbol, count in counts.items():
+            if count == 1 and symbol in objects:
+                return objects[symbol]
+    return lift_counts(objects, counts)
 
 
 def _compose_forms(outer: GeneratorForm, inner: GeneratorForm) -> GeneratorForm:
@@ -165,8 +177,8 @@ def _compose_forms(outer: GeneratorForm, inner: GeneratorForm) -> GeneratorForm:
     objects, images = outer.objects, outer.morphisms
     return GeneratorForm(
         inner.source, outer.target,
-        {p: lift_counts(objects, image) for p, image in inner.objects.items()},
-        {t: _apply(objects, images, start, steps)
+        {p: _lift_image(objects, image) for p, image in inner.objects.items()},
+        {t: (_lift_image(objects, start), _image_steps(images, steps))
          for t, (start, steps) in inner.morphisms.items()},
     )
 
@@ -230,10 +242,15 @@ def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
         a, b = left.objects[p], right.objects[p]
         if a != b:
             return {"kind": "object", "generator": p, "left": _sorted(a), "right": _sorted(b)}
+    target = left.target
     for t in left.source.transitions:
         (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
-        if not trace_equivalent(Trace(left.target, _multiset(a_start), a_steps),
-                                Trace(right.target, _multiset(b_start), b_steps)):
+        if a_steps == b_steps and a_start == b_start:
+            # What trace_equivalent does with one image on both sides: the
+            # pair is equal, and an image that cannot fire still raises.
+            replay(Trace(target, _multiset(a_start), a_steps))
+        elif not trace_equivalent(Trace(target, _multiset(a_start), a_steps),
+                                  Trace(target, _multiset(b_start), b_steps)):
             return {"kind": "morphism", "generator": t,
                     "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
                     "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}

@@ -69,7 +69,7 @@ class ManaPolicy:
     @classmethod
     def plain(cls, net: Net) -> ManaPolicy:
         """One unit of a transition's own mana per firing, nothing produced."""
-        return cls({t: 1 for t in net.transitions}, {t: EMPTY for t in net.transitions})
+        return cls(dict.fromkeys(net.transitions, 1), dict.fromkeys(net.transitions, EMPTY))
 
     @classmethod
     def of(cls, net: Net, entries: Mapping[str, tuple]) -> ManaPolicy:
@@ -93,8 +93,16 @@ class ManaPolicy:
 
 def validate_policy(net: Net, policy: ManaPolicy) -> list[str]:
     """Problems that make the policy unusable with the net, as messages."""
-    problems = []
     transitions = set(net.transitions)
+    consume, produce = policy.consume, policy.produce
+    # The usable case in set operations; any problem is reported by the
+    # walk below.
+    if (consume.keys() == transitions and produce.keys() == transitions
+            and all(type(c) is int and c >= 0 for c in consume.values())
+            and all(type(m) is Multiset and transitions.issuperset(m._entries)
+                    for m in produce.values())):
+        return []
+    problems = []
     if set(policy.consume) != transitions:
         problems.append("consume map is not total on the net's transitions")
     if set(policy.produce) != transitions:
@@ -328,10 +336,13 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
     # Both squares are composed and compared for every distinct morphism,
     # so anything that raises does; each law keeps its first counterexample.
     counit_witness = delta_witness = None
-    sides = {_net_key(net): shared}
+    net_key = _net_key(net)
+    sides = {net_key: shared}
     seen = set()
     for index, morphism in enumerate(morphisms):
-        source_key, target_key = _net_key(morphism.source), _net_key(morphism.target)
+        source = morphism.source
+        source_key = net_key if source is net else _net_key(source)
+        target_key = _net_key(morphism.target)
         key = (source_key, target_key, frozenset(morphism.transition_map.items()),
                frozenset(morphism.place_map.items()))
         if key in seen:

@@ -75,9 +75,17 @@ def validate_net(net: Net) -> list[Violation]:
     post not total), unknown-transition (pre/post keyed by an undeclared
     transition), unknown-place (an arc mentions an undeclared place).
     """
-    out: list[Violation] = []
     places = set(net.places)
     transitions = set(net.transitions)
+    # The well-formed case in set operations; any fault is reported by the
+    # walk below, which also raises on an arc that is not a Multiset.
+    if (len(places) == len(net.places) and len(transitions) == len(net.transitions)
+            and places.isdisjoint(transitions)
+            and net.pre.keys() == transitions and net.post.keys() == transitions
+            and all(type(arc) is Multiset and places.issuperset(arc._entries)
+                    for arcs in (net.pre, net.post) for arc in arcs.values())):
+        return []
+    out: list[Violation] = []
 
     seen: set[str] = set()
     for p in net.places:
@@ -138,10 +146,12 @@ def lift_counts(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> 
             return _lift_in_order(mapping, entries)
         image = mapping[symbol]
         if isinstance(image, str):
-            pairs = ((image, 1),)
-        else:
-            pairs = (image if type(image) is dict else image._entries).items()
-        for target, k in pairs:
+            total = counts.get(image, 0) + count
+            if total > COUNT_MAX:
+                return _lift_in_order(mapping, entries)
+            counts[image] = total
+            continue
+        for target, k in (image if type(image) is dict else image._entries).items():
             total = counts.get(target, 0) + count * k
             if total > COUNT_MAX:
                 return _lift_in_order(mapping, entries)

@@ -268,6 +268,18 @@ def test_golden_check_laws_with_repeated_morphisms(capsys):
     assert out == (DATA / "loop.check-laws-25.json").read_bytes().decode("utf-8")
 
 
+def test_golden_check_laws_on_a_generalized_policy(capsys):
+    """A net whose t0 has an empty pre-set, with a generalized mana block.
+
+    25 samples at seed 20 draw 15 distinct morphisms, so targets repeat,
+    and 4 of them merge the parallel transitions t1 and t2.
+    """
+    code, out, err = run(capsys, "check-laws", str(DATA / "mixed.json"),
+                         "--samples", "25", "--seed", "20")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "mixed.check-laws-25.json").read_bytes().decode("utf-8")
+
+
 DANGLING_DOC = ('{"places": ["A"], "transitions": {"u": {"pre": {"B": 1}, "post": {}}}, '
                 '"marking": {"A": 1}}')
 

@@ -2,8 +2,10 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mananets import (EMPTY, Net, NotEnabledError, Trace, TraceClassBudgetError,
+from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net, NotEnabledError, Trace, TraceClassBudgetError,
                       concat_traces, enabled, fire, occurrence_multiset,
                       reach, replay, run_trace, simulate, trace_equivalent)
 from mananets import execution
@@ -338,6 +340,62 @@ def test_simulate_lex_and_seeded(pipeline_net, ms):
     assert trace == again
     seeded = simulate(pipeline_net, ms(p1=1, p2=1), 5, random.Random(3))
     assert run_trace(seeded) is not None
+
+
+def reference_simulate(net, initial, max_steps, rng=None):
+    """simulate as a walk over Multiset markings, firing with fire()."""
+    labels = sorted(net.transitions)
+    marking = initial
+    steps = []
+    for _ in range(max_steps):
+        candidates = [t for t in labels if net.pre[t] <= marking]
+        if not candidates:
+            break
+        choice = rng.choice(candidates) if rng is not None else candidates[0]
+        marking = fire(net, marking, choice)
+        steps.append(choice)
+    return Trace(net, initial, tuple(steps))
+
+
+def simulate_outcome(walk, net, initial, max_steps, seed):
+    rng = None if seed is None else random.Random(seed)
+    try:
+        result = "ok", walk(net, initial, max_steps, rng)
+    except CountOverflowError as err:
+        result = "overflow", err.symbol, err.count
+    return result, None if rng is None else rng.getstate()
+
+
+# Counts near the bound make some firings overflow. Arcs and markings built
+# from pairs keep the drawn order, so a post with two overflowing symbols
+# meets them out of symbol order.
+sim_counts = st.one_of(st.integers(1, 2), st.integers(COUNT_MAX - 2, COUNT_MAX))
+sim_multisets = st.lists(st.tuples(st.sampled_from("DCBA"), sim_counts),
+                         unique_by=lambda pair: pair[0], max_size=3).map(Multiset)
+
+
+@st.composite
+def simulation_nets(draw):
+    names = draw(st.lists(st.sampled_from("uvwx"), max_size=4, unique=True))
+    return Net(("A", "B", "C", "D"), tuple(names),
+               {t: draw(sim_multisets) for t in names},
+               {t: draw(sim_multisets) for t in names})
+
+
+@given(simulation_nets(), sim_multisets, st.integers(0, 8),
+       st.one_of(st.none(), st.integers(0, 2**32)))
+def test_simulate_matches_multiset_walk(net, initial, max_steps, seed):
+    got = simulate_outcome(simulate, net, initial, max_steps, seed)
+    assert got == simulate_outcome(reference_simulate, net, initial, max_steps, seed)
+
+
+def test_simulate_names_the_first_overflowing_post_symbol():
+    net = Net(("A", "B"), ("u",), {"u": EMPTY},
+              {"u": Multiset([("B", COUNT_MAX), ("A", COUNT_MAX)])})
+    initial = Multiset({"A": 1, "B": 1})
+    with pytest.raises(CountOverflowError) as err:
+        simulate(net, initial, 1)
+    assert (err.value.symbol, err.value.count) == ("B", COUNT_MAX + 1)
 
 
 def test_identical_invalid_traces_still_raise_with_index(abc_net, ms):

@@ -1,9 +1,10 @@
 import pytest
 
-from mananets import (EMPTY, Multiset, Net, PresentedFunctor, Trace,
+from mananets import (EMPTY, Multiset, Net, NotEnabledError, PresentedFunctor, Trace,
                       apply_functor, apply_functor_to_marking,
                       compose_functors, functors_equal, identity_functor,
                       lift_functor, run_trace, validate_functor)
+from mananets import functors
 from mananets.functors import compare_functors
 
 
@@ -131,3 +132,52 @@ def test_apply_functor_reads_only_the_images_it_fires(abc_net, ms):
     assert apply_functor(partial, Trace(abc_net, ms(A=1), ())) == Trace(abc_net, ms(A=1), ())
     with pytest.raises(KeyError, match="no image for transition 'u'"):
         apply_functor(partial, Trace(abc_net, ms(A=1, B=1), ("u",)))
+
+
+def with_image(functor, start, steps):
+    """`functor` with its image of u replaced by `steps` from `start`."""
+    return PresentedFunctor(functor.source, functor.target, functor.object_map,
+                            {"u": Trace(functor.target, start, steps)})
+
+
+def test_identical_image_that_cannot_fire_raises(abc_net, ms):
+    # One image on both sides is settled by replaying it, so an image
+    # that cannot fire raises as trace_equivalent does, with its index.
+    stuck = with_image(identity_functor(abc_net), ms(A=1, B=1), ("u", "u"))
+    for right in (stuck, with_image(stuck, ms(A=1, B=1), ("u", "u"))):
+        with pytest.raises(NotEnabledError) as err:
+            compare_functors(stuck, right)
+        assert (err.value.transition, err.value.index) == ("u", 1)
+
+
+def test_identical_steps_from_different_starts_differ(abc_net, ms):
+    ident = identity_functor(abc_net)
+    padded = with_image(ident, ms(A=1, B=1, C=1), ("u",))
+    assert compare_functors(ident, padded) == (False, {
+        "kind": "morphism", "generator": "u",
+        "left": {"initial": {"A": 1, "B": 1}, "steps": ["u"]},
+        "right": {"initial": {"A": 1, "B": 1, "C": 1}, "steps": ["u"]}})
+
+
+def test_reordered_images_go_to_trace_equivalent(ms, monkeypatch):
+    source = Net.build(["A", "C"], {"u": ({"A": 1}, {"C": 1})})
+    target = Net.build(["X", "Y", "Z", "W"], {
+        "s1": ({"X": 1}, {"Z": 1}),
+        "s2": ({"Y": 1}, {"W": 1}),
+    })
+    objects = {"A": ms(X=1, Y=1), "C": ms(Z=1, W=1)}
+    left = PresentedFunctor(source, target, objects,
+                            {"u": Trace(target, ms(X=1, Y=1), ("s1", "s2"))})
+    right = with_image(left, ms(X=1, Y=1), ("s2", "s1"))
+    calls = []
+    real = functors.trace_equivalent
+
+    def spy(t1, t2):
+        calls.append((t1.steps, t2.steps))
+        return real(t1, t2)
+
+    monkeypatch.setattr(functors, "trace_equivalent", spy)
+    assert compare_functors(left, right) == (True, None)
+    assert calls == [(("s1", "s2"), ("s2", "s1"))]
+    assert compare_functors(left, left) == (True, None)
+    assert len(calls) == 1

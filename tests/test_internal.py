@@ -1,9 +1,13 @@
+import copy
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mananets import (EMPTY, ManaPolicy, mana_place_name, Multiset, NameClashError, Net, NetMorphism,
+                      NotEnabledError,
                       PolicyError, Trace, apply_functor,
                       apply_functor_to_marking, check_comonad_laws,
                       compose_functors, comultiplication, counit,
@@ -159,6 +163,85 @@ def test_odd_policy_entries_are_reported_not_crashed_on(abc_net, consume, produc
 
 def test_int_subclass_consume_passes_validation(abc_net):
     assert validate_policy(abc_net, ManaPolicy({"u": Count(2)}, {"u": EMPTY})) == []
+
+
+def reference_validate_policy(net, policy):
+    """validate_policy as one walk over every entry, with no usable-case shortcut."""
+    problems = []
+    transitions = set(net.transitions)
+    if set(policy.consume) != transitions:
+        problems.append("consume map is not total on the net's transitions")
+    if set(policy.produce) != transitions:
+        problems.append("produce map is not total on the net's transitions")
+    for t in sorted(set(policy.consume) & transitions):
+        consume = policy.consume[t]
+        if not isinstance(consume, int) or isinstance(consume, bool):
+            problems.append(f"consume count for {t!r} is not an int: {consume!r}")
+        elif consume < 0:
+            problems.append(f"consume count for {t!r} is negative")
+    for t in sorted(set(policy.produce) & transitions):
+        produce = policy.produce[t]
+        if not isinstance(produce, Multiset):
+            problems.append(f"produce of {t!r} is not a Multiset: {produce!r}")
+            continue
+        for target in produce.support():
+            if target not in transitions:
+                problems.append(f"produce of {t!r} targets unknown transition {target!r}")
+    return problems
+
+
+def policy_outcome(validate, net, policy):
+    try:
+        return "ok", validate(net, policy)
+    except Exception as err:  # the exception type is what is compared
+        return "raises", type(err)
+
+
+#: Consume counts the validator must name, and an int subclass, which it accepts.
+ODD_POLICY_CONSUME = [-1, True, False, 1.0, "1", None, Count(2), Count(-1), COUNT_MAX + 1]
+#: Produce entries the validator must name, and a Multiset subclass, which it accepts.
+ODD_POLICY_PRODUCE = [{"u": 1}, {}, None, (), Pool({"u": 1}), Pool()]
+POLICY_FAULTS = ("drop-consume", "drop-produce", "extra-consume", "extra-produce",
+                 "odd-consume", "odd-produce", "unknown-target")
+
+
+@st.composite
+def faulty_policies(draw):
+    """A net's transitions and a policy for them with some of POLICY_FAULTS injected."""
+    names = draw(st.lists(st.sampled_from("uvw"), max_size=3, unique=True))
+    net = Net(("A",), tuple(names), {t: EMPTY for t in names}, {t: EMPTY for t in names})
+    produces = (st.dictionaries(st.sampled_from(names), st.integers(1, 2), max_size=3)
+                .map(Multiset) if names else st.just(EMPTY))
+    consume = {t: draw(st.integers(0, 2)) for t in names}
+    produce = {t: draw(produces) for t in names}
+    for fault in draw(st.lists(st.sampled_from(POLICY_FAULTS), max_size=3)):
+        side = consume if "consume" in fault else produce
+        if fault.startswith("drop") and side:
+            del side[draw(st.sampled_from(sorted(side)))]
+        elif fault.startswith("extra"):
+            side[draw(st.sampled_from("xyz"))] = (draw(st.integers(0, 2)) if side is consume
+                                                   else draw(produces))
+        elif fault.startswith("odd") and side:
+            odd = ODD_POLICY_CONSUME if side is consume else ODD_POLICY_PRODUCE
+            side[draw(st.sampled_from(sorted(side)))] = draw(st.sampled_from(odd))
+        elif fault == "unknown-target" and produce:
+            t = draw(st.sampled_from(sorted(produce)))
+            if isinstance(produce[t], Multiset):
+                produce[t] = produce[t] + Multiset({draw(st.sampled_from("xyz")): 1})
+    return net, ManaPolicy(consume, produce)
+
+
+ONE_TRANSITION = Net(("A",), ("u",), {"u": EMPTY}, {"u": EMPTY})
+
+
+@given(faulty_policies())
+@example((ONE_TRANSITION, ManaPolicy({"u": -1}, {"u": EMPTY})))
+@example((ONE_TRANSITION, ManaPolicy({"u": Count(-1)}, {"u": Multiset({"u": 1})})))
+@example((ONE_TRANSITION, ManaPolicy({"u": 1.0}, {"u": EMPTY})))
+def test_validate_policy_matches_full_walk(case):
+    net, policy = case
+    assert (policy_outcome(validate_policy, net, policy)
+            == policy_outcome(reference_validate_policy, net, policy))
 
 
 def test_counit_erases_mana_marking(abc_net):
@@ -721,3 +804,63 @@ def test_repeated_morphisms_match_reference(seed, fault, monkeypatch):
     assert checked == distinct(morphisms)
     assert built == distinct([net] + [side for m in morphisms for side in (m.source, m.target)])
     assert got == reference_comonad_laws(net, morphisms)
+
+
+# -- identical images and shared dicts ------------------------------------------
+
+
+def doubled_images(functor, *_):
+    """`functor` with every image firing sequence run twice from the same start."""
+    return PresentedFunctor(functor.source, functor.target, functor.object_map,
+                            {t: Trace(functor.target, image.initial, image.steps * 2)
+                             for t, image in functor.morphism_map.items()})
+
+
+def test_identical_images_that_cannot_fire_raise_from_the_laws(loop_net, monkeypatch):
+    # Under a morphism functor that fires each image twice, both sides of
+    # the counit-naturality square carry the same image of u3, and its
+    # second firing has no token.
+    morphisms = [random_net_morphism(random.Random(1), loop_net)]
+    install_fault(monkeypatch, "morphism", doubled_images)
+    for check in (check_comonad_laws, reference_comonad_laws):
+        with pytest.raises(NotEnabledError) as err:
+            check(loop_net, morphisms)
+        assert (err.value.transition, err.value.index) == ("m_u3", 1)
+
+
+def form_snapshot(form):
+    return copy.deepcopy((form.objects, form.morphisms))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_composing_and_lifting_leave_input_forms_unchanged(seed):
+    # Composites share image dicts with their inputs, so no step may write
+    # to a dict it was given.
+    rng = random.Random(seed)
+    net = random_net(rng)
+    mn, double, eps, delta = internal._built_side(net)
+    triple = iterated_construction(double)
+    morphism = random_net_morphism(rng, net)
+    tmn, tdd, t_eps, t_delta = internal._built_side(morphism.target)
+    functor = internal._morphism_form(morphism)
+    inputs = [eps, delta, functor, t_eps, t_delta, functors._identity_form(mn.built),
+              internal._counit_form(double), internal._comultiplication_form(double, triple)]
+    before = [form_snapshot(form) for form in inputs]
+    lifted = internal._lift_form(functor, mn, tmn)
+    lifted_twice = internal._lift_form(lifted, double, tdd)
+    made = [lifted, lifted_twice, internal._lift_form(eps, double, mn),
+            internal._lift_form(delta, double, triple)]
+    made_before = [form_snapshot(form) for form in made]
+    composites = [functors._compose_forms(t_eps, lifted),
+                  functors._compose_forms(functor, eps),
+                  functors._compose_forms(t_delta, lifted),
+                  functors._compose_forms(lifted_twice, delta),
+                  functors._compose_forms(made[2], delta),
+                  functors._compose_forms(inputs[6], delta),
+                  functors._compose_forms(inputs[7], delta),
+                  functors._compose_forms(made[3], delta)]
+    composites.append(functors._compose_forms(composites[0], inputs[5]))
+    for left, right in zip(composites[::2], composites[1::2]):
+        functors._compare_forms(left, right)
+    assert [form_snapshot(form) for form in inputs] == before
+    assert [form_snapshot(form) for form in made] == made_before

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net,
                       NetMorphism, UnknownSymbolError, compose_morphisms,
-                      lift_multiset_map, validate_morphism, validate_net)
+                      Violation, lift_multiset_map, validate_morphism, validate_net)
 from mananets.sampling import random_net, random_net_morphism
 
 
@@ -186,3 +186,97 @@ def test_random_morphisms_valid_and_composable(seed):
     assert validate_morphism(outer) == []
     composite = compose_morphisms(outer, inner)
     assert validate_morphism(composite) == []
+
+
+# -- validate_net against the full walk -----------------------------------------
+
+
+def reference_validate_net(net):
+    """validate_net as one walk over every invariant, with no well-formed shortcut."""
+    out = []
+    places = set(net.places)
+    transitions = set(net.transitions)
+    seen = set()
+    for p in net.places:
+        if p in seen:
+            out.append(Violation("duplicate-place", p))
+        seen.add(p)
+    seen = set()
+    for t in net.transitions:
+        if t in seen:
+            out.append(Violation("duplicate-transition", t))
+        seen.add(t)
+    for name in sorted(places & transitions):
+        out.append(Violation("name-clash", name))
+    for t in net.transitions:
+        if t not in net.pre:
+            out.append(Violation("missing-pre", t))
+        if t not in net.post:
+            out.append(Violation("missing-post", t))
+    for key in sorted(set(net.pre) - transitions):
+        out.append(Violation("unknown-transition", key, "pre"))
+    for key in sorted(set(net.post) - transitions):
+        out.append(Violation("unknown-transition", key, "post"))
+    for side, arcs in (("pre", net.pre), ("post", net.post)):
+        for t in sorted(arcs):
+            for symbol in arcs[t].support():
+                if symbol not in places:
+                    out.append(Violation("unknown-place", symbol, f"{side} of {t}"))
+    return out
+
+
+def validation_outcome(validate, *args):
+    try:
+        return "ok", validate(*args)
+    except Exception as err:  # the exception type is what is compared
+        return "raises", type(err)
+
+
+NET_FAULTS = ("duplicate-place", "duplicate-transition", "name-clash", "missing-pre",
+              "missing-post", "unknown-pre-key", "unknown-post-key", "unknown-place",
+              "plain-dict-arc")
+
+
+@st.composite
+def faulty_nets(draw):
+    """A net over a few names with some of NET_FAULTS injected, in drawn order."""
+    places = draw(st.lists(st.sampled_from("ABCD"), max_size=4, unique=True))
+    transitions = draw(st.lists(st.sampled_from("uvw"), max_size=3, unique=True))
+    arcs = (st.dictionaries(st.sampled_from(places), st.integers(1, 2), max_size=3)
+            .map(Multiset) if places else st.just(EMPTY))
+    pre = {t: draw(arcs) for t in transitions}
+    post = {t: draw(arcs) for t in transitions}
+    faults = draw(st.lists(st.sampled_from(NET_FAULTS), max_size=4))
+    for fault in faults:
+        if fault == "duplicate-place" and places:
+            places.append(draw(st.sampled_from(places)))
+        elif fault == "duplicate-transition" and transitions:
+            transitions.append(draw(st.sampled_from(transitions)))
+        elif fault == "name-clash" and transitions:
+            places.append(draw(st.sampled_from(transitions)))
+        elif fault in ("missing-pre", "missing-post"):
+            side = pre if fault == "missing-pre" else post
+            if side:
+                del side[draw(st.sampled_from(sorted(side)))]
+        elif fault in ("unknown-pre-key", "unknown-post-key"):
+            side = pre if fault == "unknown-pre-key" else post
+            side[draw(st.sampled_from("xyz"))] = draw(arcs)
+        elif fault == "unknown-place":
+            side = draw(st.sampled_from([pre, post]))
+            if side:
+                key = draw(st.sampled_from(sorted(side)))
+                side[key] = side[key] + Multiset({draw(st.sampled_from("XYZ")): 1})
+    if "plain-dict-arc" in faults:
+        side = draw(st.sampled_from([pre, post]))
+        if side:
+            key = draw(st.sampled_from(sorted(side)))
+            side[key] = side[key].as_dict()
+    return Net(tuple(places), tuple(transitions), pre, post)
+
+
+@given(faulty_nets())
+@example(Net(("A",), ("u",), {"u": Multiset({"X": 1})}, {"u": EMPTY}))
+@example(Net(("A", "u"), ("u",), {"u": EMPTY}, {"u": EMPTY}))
+def test_validate_net_matches_full_walk(net):
+    got = validation_outcome(validate_net, net)
+    assert got == validation_outcome(reference_validate_net, net)

@@ -446,8 +446,9 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     labels = sorted(net.transitions)
     pre = net.pre
     # The marking as a count dict that may hold zeros; each firing takes
-    # its pre, then adds its post in the order Multiset addition does, so
-    # an overflow names the same symbol.
+    # its pre, then adds its post in the order Multiset.__add__ meets it,
+    # so an overflow names the symbol that fire would (keep both, and
+    # TokenGame.check_overflow, in step).
     counts = dict(initial._entries)
     steps: list[str] = []
     for _ in range(max_steps):

@@ -12,11 +12,10 @@ an object map ``place -> {target symbol: count}`` (a matrix over the
 naturals) and a morphism map ``transition -> (start counts, steps)``.
 Composition lifts counts through the outer object map and concatenates
 the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
-1990); comparison checks the object maps for equality, settles each
-pair of identical transition images with one
-:func:`~mananets.execution.replay` (all that ``trace_equivalent`` does
-with such a pair) and hands each pair that differs to
-``trace_equivalent`` as traces built for that call only.
+1990); comparison checks the object maps for equality and hands each
+pair of transition images to ``trace_equivalent`` as traces built for
+that call only, a pair of identical images as one trace on both sides,
+which it settles with one :func:`~mananets.execution.replay`.
 :class:`PresentedFunctor` is the boundary type: the public functions
 convert to the form on the way in (:func:`_to_form`) and back on the
 way out (:func:`_present`), and
@@ -32,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, replay, run_trace, trace_equivalent
+from .execution import Trace, run_trace, trace_equivalent
 from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
@@ -245,12 +244,12 @@ def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
     target = left.target
     for t in left.source.transitions:
         (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
-        if a_steps == b_steps and a_start == b_start:
-            # What trace_equivalent does with one image on both sides: the
-            # pair is equal, and an image that cannot fire still raises.
-            replay(Trace(target, _multiset(a_start), a_steps))
-        elif not trace_equivalent(Trace(target, _multiset(a_start), a_steps),
-                                  Trace(target, _multiset(b_start), b_steps)):
+        image = Trace(target, _multiset(a_start), a_steps)
+        # An identical pair is passed as one trace, which trace_equivalent
+        # settles with one replay (so an image that cannot fire raises).
+        other = (image if a_steps == b_steps and a_start == b_start
+                 else Trace(target, _multiset(b_start), b_steps))
+        if not trace_equivalent(image, other):
             return {"kind": "morphism", "generator": t,
                     "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
                     "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}

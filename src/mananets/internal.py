@@ -93,34 +93,32 @@ class ManaPolicy:
 
 def validate_policy(net: Net, policy: ManaPolicy) -> list[str]:
     """Problems that make the policy unusable with the net, as messages."""
+    problems = []
     transitions = set(net.transitions)
     consume, produce = policy.consume, policy.produce
-    # The usable case in set operations; any problem is reported by the
-    # walk below.
-    if (consume.keys() == transitions and produce.keys() == transitions
-            and all(type(c) is int and c >= 0 for c in consume.values())
-            and all(type(m) is Multiset and transitions.issuperset(m._entries)
-                    for m in produce.values())):
-        return []
-    problems = []
-    if set(policy.consume) != transitions:
+    if consume.keys() != transitions:
         problems.append("consume map is not total on the net's transitions")
-    if set(policy.produce) != transitions:
+    if produce.keys() != transitions:
         problems.append("produce map is not total on the net's transitions")
-    for t in sorted(set(policy.consume) & transitions):
-        consume = policy.consume[t]
-        if not isinstance(consume, int) or isinstance(consume, bool):
-            problems.append(f"consume count for {t!r} is not an int: {consume!r}")
-        elif consume < 0:
-            problems.append(f"consume count for {t!r} is negative")
-    for t in sorted(set(policy.produce) & transitions):
-        produce = policy.produce[t]
-        if not isinstance(produce, Multiset):
-            problems.append(f"produce of {t!r} is not a Multiset: {produce!r}")
-            continue
-        for target in produce.support():
-            if target not in transitions:
-                problems.append(f"produce of {t!r} targets unknown transition {target!r}")
+    # Each walk below runs only once a cheap test has found its fault, so
+    # a usable policy sorts nothing.
+    if not all(type(count) is int and count >= 0 for count in consume.values()):
+        for t in sorted(consume.keys() & transitions):
+            count = consume[t]
+            if not isinstance(count, int) or isinstance(count, bool):
+                problems.append(f"consume count for {t!r} is not an int: {count!r}")
+            elif count < 0:
+                problems.append(f"consume count for {t!r} is negative")
+    if not all(isinstance(m, Multiset) and m._entries.keys() <= transitions
+               for m in produce.values()):
+        for t in sorted(produce.keys() & transitions):
+            m = produce[t]
+            if not isinstance(m, Multiset):
+                problems.append(f"produce of {t!r} is not a Multiset: {m!r}")
+                continue
+            for target in m.support():
+                if target not in transitions:
+                    problems.append(f"produce of {t!r} targets unknown transition {target!r}")
     return problems
 
 
@@ -336,13 +334,10 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
     # Both squares are composed and compared for every distinct morphism,
     # so anything that raises does; each law keeps its first counterexample.
     counit_witness = delta_witness = None
-    net_key = _net_key(net)
-    sides = {net_key: shared}
+    sides = {_net_key(net): shared}
     seen = set()
     for index, morphism in enumerate(morphisms):
-        source = morphism.source
-        source_key = net_key if source is net else _net_key(source)
-        target_key = _net_key(morphism.target)
+        source_key, target_key = _net_key(morphism.source), _net_key(morphism.target)
         key = (source_key, target_key, frozenset(morphism.transition_map.items()),
                frozenset(morphism.place_map.items()))
         if key in seen:

@@ -75,43 +75,44 @@ def validate_net(net: Net) -> list[Violation]:
     post not total), unknown-transition (pre/post keyed by an undeclared
     transition), unknown-place (an arc mentions an undeclared place).
     """
+    out: list[Violation] = []
     places = set(net.places)
     transitions = set(net.transitions)
-    # The well-formed case in set operations; any fault is reported by the
-    # walk below, which also raises on an arc that is not a Multiset.
-    if (len(places) == len(net.places) and len(transitions) == len(net.transitions)
-            and places.isdisjoint(transitions)
-            and net.pre.keys() == transitions and net.post.keys() == transitions
-            and all(type(arc) is Multiset and places.issuperset(arc._entries)
-                    for arcs in (net.pre, net.post) for arc in arcs.values())):
-        return []
-    out: list[Violation] = []
-
-    seen: set[str] = set()
-    for p in net.places:
-        if p in seen:
-            out.append(Violation("duplicate-place", p))
-        seen.add(p)
-    seen = set()
-    for t in net.transitions:
-        if t in seen:
-            out.append(Violation("duplicate-transition", t))
-        seen.add(t)
+    pre, post = net.pre, net.post
+    # Each walk below runs only once a set operation has found its fault,
+    # so a well-formed net sorts nothing.
+    if len(places) < len(net.places):
+        seen: set[str] = set()
+        for p in net.places:
+            if p in seen:
+                out.append(Violation("duplicate-place", p))
+            seen.add(p)
+    if len(transitions) < len(net.transitions):
+        seen = set()
+        for t in net.transitions:
+            if t in seen:
+                out.append(Violation("duplicate-transition", t))
+            seen.add(t)
 
     for name in sorted(places & transitions):
         out.append(Violation("name-clash", name))
 
-    for t in net.transitions:
-        if t not in net.pre:
-            out.append(Violation("missing-pre", t))
-        if t not in net.post:
-            out.append(Violation("missing-post", t))
-    for key in sorted(set(net.pre) - transitions):
-        out.append(Violation("unknown-transition", key, "pre"))
-    for key in sorted(set(net.post) - transitions):
-        out.append(Violation("unknown-transition", key, "post"))
+    if pre.keys() != transitions or post.keys() != transitions:
+        for t in net.transitions:
+            if t not in pre:
+                out.append(Violation("missing-pre", t))
+            if t not in post:
+                out.append(Violation("missing-post", t))
+        for key in sorted(pre.keys() - transitions):
+            out.append(Violation("unknown-transition", key, "pre"))
+        for key in sorted(post.keys() - transitions):
+            out.append(Violation("unknown-transition", key, "post"))
 
-    for side, arcs in (("pre", net.pre), ("post", net.post)):
+    for side, arcs in (("pre", pre), ("post", post)):
+        if all(isinstance(arc, Multiset) and arc._entries.keys() <= places
+               for arc in arcs.values()):
+            continue
+        # Raises AttributeError on an arc that is not a Multiset.
         for t in sorted(arcs):
             for symbol in arcs[t].support():
                 if symbol not in places:

@@ -159,7 +159,7 @@ def test_identical_steps_from_different_starts_differ(abc_net, ms):
         "right": {"initial": {"A": 1, "B": 1, "C": 1}, "steps": ["u"]}})
 
 
-def test_reordered_images_go_to_trace_equivalent(ms, monkeypatch):
+def test_every_image_pair_goes_to_trace_equivalent(ms, monkeypatch):
     source = Net.build(["A", "C"], {"u": ({"A": 1}, {"C": 1})})
     target = Net.build(["X", "Y", "Z", "W"], {
         "s1": ({"X": 1}, {"Z": 1}),
@@ -173,11 +173,11 @@ def test_reordered_images_go_to_trace_equivalent(ms, monkeypatch):
     real = functors.trace_equivalent
 
     def spy(t1, t2):
-        calls.append((t1.steps, t2.steps))
+        calls.append((t1.steps, t2.steps, t1 is t2))
         return real(t1, t2)
 
     monkeypatch.setattr(functors, "trace_equivalent", spy)
     assert compare_functors(left, right) == (True, None)
-    assert calls == [(("s1", "s2"), ("s2", "s1"))]
-    assert compare_functors(left, left) == (True, None)
-    assert len(calls) == 1
+    # An identical pair, also from a distinct but equal image, is one trace.
+    assert compare_functors(left, with_image(left, ms(X=1, Y=1), ("s1", "s2"))) == (True, None)
+    assert calls == [(("s1", "s2"), ("s2", "s1"), False), (("s1", "s2"), ("s1", "s2"), True)]

@@ -238,6 +238,7 @@ ONE_TRANSITION = Net(("A",), ("u",), {"u": EMPTY}, {"u": EMPTY})
 @example((ONE_TRANSITION, ManaPolicy({"u": -1}, {"u": EMPTY})))
 @example((ONE_TRANSITION, ManaPolicy({"u": Count(-1)}, {"u": Multiset({"u": 1})})))
 @example((ONE_TRANSITION, ManaPolicy({"u": 1.0}, {"u": EMPTY})))
+@example((ONE_TRANSITION, ManaPolicy({"u": 1}, {"u": Multiset({"x": 1})})))
 def test_validate_policy_matches_full_walk(case):
     net, policy = case
     assert (policy_outcome(validate_policy, net, policy)

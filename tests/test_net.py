@@ -277,6 +277,8 @@ def faulty_nets(draw):
 @given(faulty_nets())
 @example(Net(("A",), ("u",), {"u": Multiset({"X": 1})}, {"u": EMPTY}))
 @example(Net(("A", "u"), ("u",), {"u": EMPTY}, {"u": EMPTY}))
+@example(Net(("A",), ("v", "u"), {"v": Multiset({"X": 1}), "u": Multiset({"Y": 1})},
+             {"v": EMPTY, "u": EMPTY}))
 def test_validate_net_matches_full_walk(net):
     got = validation_outcome(validate_net, net)
     assert got == validation_outcome(reference_validate_net, net)

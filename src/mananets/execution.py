@@ -59,6 +59,16 @@ class Trace:
         return len(self.steps)
 
 
+def _trace(net: Net, initial: Multiset, steps: tuple) -> Trace:
+    # Internal fast path, like Multiset's _wrap: `steps` is already a tuple.
+    trace = object.__new__(Trace)
+    fields = trace.__dict__
+    fields["net"] = net
+    fields["initial"] = initial
+    fields["steps"] = steps
+    return trace
+
+
 def enabled(net: Net, marking: Multiset, transition: str) -> bool:
     """True when the marking covers the transition's pre multiset."""
     if transition not in net.pre:
@@ -85,6 +95,27 @@ def replay(trace: Trace) -> list[Multiset]:
             raise NotEnabledError(transition, index)
         markings.append(rest + post)
     return markings
+
+
+def _check_trace(trace: Trace) -> None:
+    """Raise what :func:`replay` raises on `trace`, building no marking."""
+    # Fires on a count dict as simulate does (keep both loops and
+    # TokenGame.check_overflow in step): post is added in the order
+    # Multiset.__add__ meets it, so an overflow names the same symbol.
+    counts = dict(trace.initial._entries)
+    arcs = trace.net.arcs
+    for index, transition in enumerate(trace.steps):
+        taken, given = arcs(transition)
+        for symbol, need in taken._entries.items():
+            left = counts.get(symbol, 0) - need
+            if left < 0:
+                raise NotEnabledError(transition, index)
+            counts[symbol] = left
+        for symbol, count in given._entries.items():
+            total = counts.get(symbol, 0) + count
+            if total > COUNT_MAX:
+                raise CountOverflowError(symbol, total)
+            counts[symbol] = total
 
 
 def run_trace(trace: Trace) -> Multiset:
@@ -125,12 +156,12 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
     :class:`TraceClassBudgetError` instead when the class of `t1` holds
     more than ``TRACE_CLASS_BUDGET`` orderings.
     """
-    if t1.net != t2.net:
+    if t1.net is not t2.net and t1.net != t2.net:
         return False
     if t1.initial != t2.initial:
         return False
     if t1.steps == t2.steps:
-        replay(t1)  # an invalid trace still raises NotEnabledError
+        _check_trace(t1)  # an invalid trace still raises NotEnabledError
         return True
     if occurrence_multiset(t1) != occurrence_multiset(t2):
         return False
@@ -447,8 +478,8 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     pre = net.pre
     # The marking as a count dict that may hold zeros; each firing takes
     # its pre, then adds its post in the order Multiset.__add__ meets it,
-    # so an overflow names the symbol that fire would (keep both, and
-    # TokenGame.check_overflow, in step).
+    # so an overflow names the symbol that fire would (keep this loop,
+    # the one in _check_trace and TokenGame.check_overflow in step).
     counts = dict(initial._entries)
     steps: list[str] = []
     for _ in range(max_steps):
@@ -471,4 +502,4 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
                 raise CountOverflowError(symbol, total)
             counts[symbol] = total
         steps.append(choice)
-    return Trace(net, initial, tuple(steps))
+    return _trace(net, initial, tuple(steps))

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotManaEnabledError, UnknownSymbolError
-from .execution import (ReachGraph, TokenGame, Trace, _segment_key, enabled, fire,
-                        occurrence_counts, replay)
+from .execution import (ReachGraph, TokenGame, Trace, _check_trace, _segment_key, enabled,
+                        fire, occurrence_counts)
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
@@ -254,7 +254,7 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
     for index, trace in enumerate(sample_traces):
         steps = trace.steps
         whole = span_of_trace(policy, trace)
-        replay(trace)  # an invalid trace still raises NotEnabledError
+        _check_trace(trace)  # an invalid trace still raises NotEnabledError
         # Occurrence counts of the head steps[:cut] and the tail
         # steps[cut:], moved along one step per cut.
         head: dict[str, int] = {}

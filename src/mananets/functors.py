@@ -15,7 +15,8 @@ the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
 1990); comparison checks the object maps for equality and hands each
 pair of transition images to ``trace_equivalent`` as traces built for
 that call only, a pair of identical images as one trace on both sides,
-which it settles with one :func:`~mananets.execution.replay`.
+which it settles with a check-only walk that raises what
+:func:`~mananets.execution.replay` raises but builds no marking.
 :class:`PresentedFunctor` is the boundary type: the public functions
 convert to the form on the way in (:func:`_to_form`) and back on the
 way out (:func:`_present`), and
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, run_trace, trace_equivalent
+from .execution import Trace, _trace, run_trace, trace_equivalent
 from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
@@ -171,7 +172,7 @@ def _lift_image(objects: dict, counts: dict) -> dict:
 
 
 def _compose_forms(outer: GeneratorForm, inner: GeneratorForm) -> GeneratorForm:
-    if inner.target != outer.source:
+    if inner.target is not outer.source and inner.target != outer.source:
         raise ValueError("functors are not composable: target/source nets differ")
     objects, images = outer.objects, outer.morphisms
     return GeneratorForm(
@@ -235,7 +236,8 @@ def _sorted(counts: dict) -> dict:
 
 def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
     """The witness of the first mismatch between two forms, or None when equal."""
-    if left.source != right.source or left.target != right.target:
+    if ((left.source is not right.source and left.source != right.source)
+            or (left.target is not right.target and left.target != right.target)):
         return {"kind": "boundary", "detail": "source or target nets differ"}
     for p in left.source.places:
         a, b = left.objects[p], right.objects[p]
@@ -244,11 +246,11 @@ def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
     target = left.target
     for t in left.source.transitions:
         (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
-        image = Trace(target, _multiset(a_start), a_steps)
+        image = _trace(target, _multiset(a_start), a_steps)
         # An identical pair is passed as one trace, which trace_equivalent
-        # settles with one replay (so an image that cannot fire raises).
+        # settles with a check-only walk (so an image that cannot fire raises).
         other = (image if a_steps == b_steps and a_start == b_start
-                 else Trace(target, _multiset(b_start), b_steps))
+                 else _trace(target, _multiset(b_start), b_steps))
         if not trace_equivalent(image, other):
             return {"kind": "morphism", "generator": t,
                     "left": {"initial": _sorted(a_start), "steps": list(a_steps)},

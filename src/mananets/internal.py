@@ -18,6 +18,11 @@ The comonad structure is built in the generator form of
 leaving that form. :func:`counit`, :func:`comultiplication` and
 :func:`lift_functor` are the boundary: they return
 :class:`~mananets.functors.PresentedFunctor` values built from the form.
+
+Nets and policies are validated once, by the public constructions;
+``_construct`` only builds, so the double and triple builds that
+:func:`check_comonad_laws` makes from nets it has just built are not
+checked again.
 """
 
 from __future__ import annotations
@@ -143,14 +148,13 @@ class ManaNet:
         return frozenset(self.mana_place_of.values())
 
 
-def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
+def _check_net(net: Net) -> None:
     problems = validate_net(net)
     if problems:
         raise ValueError(f"net is not well formed: {problems[0].kind} {problems[0].subject}")
-    policy_problems = validate_policy(net, policy)
-    if policy_problems:
-        raise PolicyError(policy_problems[0])
 
+
+def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
     taken = set(net.places) | set(net.transitions)
     mana_place_of = {}
     for t in net.transitions:
@@ -187,13 +191,20 @@ def generalized_internal_construction(net: Net, policy: ManaPolicy) -> ManaNet:
     A consume count of 0 leaves the transition free to fire without mana;
     produce entries may target any transition's pool. Fails fast with
     :class:`NameClashError` if a ``mana:<t>`` name already exists.
+    Raises ``ValueError`` on a malformed net and :class:`PolicyError` on
+    a policy that does not fit it, in that order.
     """
+    _check_net(net)
+    policy_problems = validate_policy(net, policy)
+    if policy_problems:
+        raise PolicyError(policy_problems[0])
     return _construct(net, policy, mana_place_name)
 
 
 def internal_construction(net: Net) -> ManaNet:
     """The plain construction: every firing costs one unit of its own mana."""
-    return generalized_internal_construction(net, ManaPolicy.plain(net))
+    _check_net(net)  # the plain policy fits any well-formed net
+    return _construct(net, ManaPolicy.plain(net), mana_place_name)
 
 
 def iterated_construction(mn: ManaNet) -> ManaNet:
@@ -201,13 +212,21 @@ def iterated_construction(mn: ManaNet) -> ManaNet:
 
     The new layer of mana places is freshened with an ``outer-`` prefix
     (``outer-mana:<t>``, then ``outer-outer-mana:<t>``, ...), keeping the
-    existing layer's names intact.
+    existing layer's names intact. ``mn.built`` is validated, since a
+    caller may have put the :class:`ManaNet` together by hand.
     """
+    return _iterated(mn, check=True)
+
+
+def _iterated(mn: ManaNet, check: bool = False) -> ManaNet:
+    # Unchecked, for a ManaNet that _construct has just built.
     built = mn.built
     taken = set(built.places) | set(built.transitions)
     prefix = MANA_PREFIX
     while any(prefix + t in taken for t in built.transitions):
         prefix = "outer-" + prefix
+    if check:
+        _check_net(built)
     return _construct(built, ManaPolicy.plain(built), lambda t: prefix + t)
 
 
@@ -303,7 +322,7 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     """
     shared = _built_side(net)
     mn, double, eps, delta = shared
-    triple = iterated_construction(double)
+    triple = _iterated(double)
     identity = _identity_form(mn.built)
 
     results = []
@@ -325,7 +344,7 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
 def _built_side(net: Net) -> tuple:
     """A net's plain build, double build, counit and comultiplication."""
     mn = internal_construction(net)
-    double = iterated_construction(mn)
+    double = _iterated(mn)
     return mn, double, _counit_form(mn), _comultiplication_form(mn, double)
 
 

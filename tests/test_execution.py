@@ -2,10 +2,11 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net, NotEnabledError, Trace, TraceClassBudgetError,
+                      UnknownSymbolError,
                       concat_traces, enabled, fire, occurrence_multiset,
                       reach, replay, run_trace, simulate, trace_equivalent)
 from mananets import execution
@@ -406,3 +407,53 @@ def test_identical_invalid_traces_still_raise_with_index(abc_net, ms):
     with pytest.raises(NotEnabledError) as err:
         trace_equivalent(t, t)
     assert err.value.index == 1
+
+
+def walk_outcome(walk, trace):
+    try:
+        walk(trace)
+    except Exception as err:  # compared, not handled
+        return type(err), err.args
+    return "ok"
+
+
+@st.composite
+def walked_traces(draw):
+    """Traces whose steps may lack tokens, name an unknown transition or overflow a count."""
+    net = draw(simulation_nets())
+    post = dict(net.post)
+    if post and draw(st.booleans()):
+        del post[draw(st.sampled_from(sorted(post)))]  # a transition with no post arcs
+    steps = draw(st.lists(st.sampled_from((*net.transitions, "z")), max_size=6))
+    return Trace(Net(net.places, net.transitions, net.pre, post), draw(sim_multisets), steps)
+
+
+ONE_STEP = Net(("A", "B"), ("u",), {"u": Multiset({"A": 1})}, {"u": Multiset({"B": 1})})
+#: A post whose two counts overflow, met out of symbol order.
+TWO_OVERFLOWS = Trace(Net(("A", "B"), ("u",), {"u": EMPTY},
+                          {"u": Multiset([("B", COUNT_MAX), ("A", COUNT_MAX)])}),
+                      Multiset({"A": 1, "B": 1}), ("u",))
+
+
+@given(walked_traces())
+@example(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "u")))
+@example(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "z")))
+@example(Trace(Net(("A",), ("u",), {"u": EMPTY}, {}), EMPTY, ("u",)))
+@example(TWO_OVERFLOWS)
+@example(Trace(ONE_STEP, Multiset({"A": 2}), ("u", "u")))
+def test_check_only_walk_raises_what_replay_raises(trace):
+    got = walk_outcome(execution._check_trace, trace)
+    assert got == walk_outcome(replay, trace)
+    # trace_equivalent settles an identical pair with the walk.
+    assert walk_outcome(lambda t: trace_equivalent(t, t), trace) == got
+
+
+def test_check_only_walk_names_each_error_as_replay_does():
+    cases = [(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "u")), NotEnabledError),
+             (Trace(ONE_STEP, Multiset({"A": 1}), ("u", "z")), UnknownSymbolError),
+             (TWO_OVERFLOWS, CountOverflowError)]
+    for trace, kind in cases:
+        with pytest.raises(kind) as err:
+            execution._check_trace(trace)
+        assert walk_outcome(replay, trace) == (kind, err.value.args)
+    assert (err.value.symbol, err.value.count) == ("B", COUNT_MAX + 1)

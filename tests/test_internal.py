@@ -865,3 +865,73 @@ def test_composing_and_lifting_leave_input_forms_unchanged(seed):
         functors._compare_forms(left, right)
     assert [form_snapshot(form) for form in inputs] == before
     assert [form_snapshot(form) for form in made] == made_before
+
+
+# -- where validation happens ----------------------------------------------------
+
+#: An arc on an undeclared place: the first fault validate_net reports.
+DANGLING = Net(("A",), ("u",), {"u": Multiset({"B": 1})}, {"u": EMPTY})
+DANGLING_MESSAGE = "net is not well formed: unknown-place B"
+
+
+def raised(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+class Clashing(str):
+    """A transition name whose every prefixed form is one fixed name."""
+
+    def __radd__(self, prefix):
+        return "mana:x"
+
+
+def test_internal_construction_rejects_a_malformed_net():
+    assert raised(lambda: internal_construction(DANGLING)) == (ValueError, DANGLING_MESSAGE)
+
+
+def test_generalized_construction_checks_the_net_then_the_policy(abc_net):
+    bad = ManaPolicy({"u": -1}, {"u": EMPTY})
+    assert raised(lambda: generalized_internal_construction(abc_net, bad)) == (
+        PolicyError, "consume count for 'u' is negative")
+    assert raised(lambda: generalized_internal_construction(DANGLING, bad)) == (
+        ValueError, DANGLING_MESSAGE)
+
+
+def test_iterated_construction_checks_a_hand_made_built_net(abc_net):
+    plain = ManaPolicy.plain(abc_net)
+    malformed = internal.ManaNet(abc_net, DANGLING, {}, plain)
+    assert raised(lambda: iterated_construction(malformed)) == (ValueError, DANGLING_MESSAGE)
+    # Two transitions whose outer mana places get one name: the built net
+    # itself is well formed, so the clash is found while naming.
+    built = Net(("A",), (Clashing("u"), Clashing("v")),
+                {"u": EMPTY, "v": EMPTY}, {"u": EMPTY, "v": EMPTY})
+    clashing = internal.ManaNet(abc_net, built, {}, plain)
+    assert raised(lambda: iterated_construction(clashing)) == (
+        NameClashError, "name 'mana:x' already exists in the net")
+
+
+def test_comonad_laws_check_every_net_they_are_given(abc_net):
+    assert raised(lambda: check_comonad_laws(DANGLING)) == (ValueError, DANGLING_MESSAGE)
+    target = Net(("q",), ("m",), {"m": Multiset({"z": 1})}, {"m": EMPTY})
+    morphism = NetMorphism(abc_net, target, {"u": "m"}, {"A": "q", "B": "q", "C": "q"})
+    for morphisms in ([morphism], [NetMorphism.identity(abc_net), morphism]):
+        assert raised(lambda: check_comonad_laws(abc_net, morphisms)) == (
+            ValueError, "net is not well formed: unknown-place z")
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@example(0, True)
+def test_trusted_builds_equal_the_validated_ones(seed, outer_place):
+    # A place named like an outer mana place makes the double build
+    # freshen its names one level further.
+    net = random_net(random.Random(seed))
+    if outer_place and net.transitions:
+        net = Net(net.places + ("outer-mana:" + net.transitions[0],), net.transitions,
+                  net.pre, net.post)
+    # Net equality compares places as tuples, so their order counts.
+    mn, double, _, _ = internal._built_side(net)
+    assert mn == internal_construction(net)
+    assert double == iterated_construction(internal_construction(net))
+    assert internal._iterated(double) == iterated_construction(double)

@@ -15,7 +15,7 @@ from .equivalence import (EquivalenceReport, check_equivalence, externalize,
                           state_to_object)
 from .documents import (NetDocument, emit_json, graph_to_json_dict,
                         parse_document, parse_json, parse_reaction_dsl,
-                        state_to_json_dict, trace_to_json_dict)
+                        state_to_json_dict)
 from .dot import export_dot, format_marking
 from .errors import (CountOverflowError, DocumentError, MananetsError,
                      NameClashError, NotEnabledError, NotManaEnabledError,
@@ -66,7 +66,6 @@ __all__ = [
     "occurrence_multiset", "parse_document", "parse_json",
     "parse_reaction_dsl", "reach", "replay", "run_trace", "simulate",
     "span_of_trace", "span_of_transition", "state_to_json_dict",
-    "state_to_object", "trace_equivalent", "trace_to_json_dict",
-    "validate_functor", "validate_morphism", "validate_net",
-    "validate_policy",
+    "state_to_object", "trace_equivalent", "validate_functor",
+    "validate_morphism", "validate_net", "validate_policy",
 ]

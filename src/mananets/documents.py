@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DocumentError
-from .execution import ReachGraph, TokenGame, Trace, VectorGraph, order_nodes
+from .execution import ReachGraph, TokenGame, VectorGraph, order_nodes
 from .external import ManaGame, ManaState
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset
@@ -454,10 +454,6 @@ def parse_document(data: str | bytes) -> NetDocument:
 # -- JSON views of runtime values ---------------------------------------------
 
 
-def trace_to_json_dict(trace: Trace) -> dict:
-    return {"initial": trace.initial.as_dict(), "steps": list(trace.steps)}
-
-
 def state_to_json_dict(state: ManaState) -> dict:
     return {"marking": state.marking.as_dict(), "pool": state.pool.as_dict()}
 
@@ -483,16 +479,17 @@ def graph_to_json_dict(graph: ReachGraph) -> dict:
 
 def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
                     token_bound: int) -> str:
-    """Canonical JSON text of an explored graph, written from its vectors.
+    """Canonical JSON text of an explored graph, written from its count vectors.
 
     `graph` is what :func:`~mananets.execution.explore` found in `game`
     within the two bounds. The text is exactly ``json.dumps(
     graph_to_json_dict(game.reach(root, depth_bound, token_bound)),
     sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, so nodes and
     edges come in the order of :func:`~mananets.execution.order_nodes`.
-    Each node is written from the game's sorted symbols, the marking
-    segment and, for a :class:`~mananets.external.ManaGame`, the pool
-    segment; no ``Multiset`` or ``ReachGraph`` is built. With an indent,
+    Each node is unpacked once and written from the game's sorted
+    symbols, the marking segment and, for a
+    :class:`~mananets.external.ManaGame`, the pool segment; no
+    ``Multiset`` or ``ReachGraph`` is built. With an indent,
     ``json.dumps`` runs its pure-Python encoder, which would dominate the
     time of a large ``reach``; this writer only joins strings.
     """
@@ -513,7 +510,7 @@ def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
             return "{" + inner[1:] + inner.join(entries) + close if entries else "{}"
         return counts
 
-    vectors = [graph.nodes[s] for s in order]
+    vectors = [graph.vector(graph.nodes[s]) for s in order]
     if isinstance(game, ManaGame):
         marking = segment(0, split, "      ")
         pool = segment(split, len(symbols), "      ")

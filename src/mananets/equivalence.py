@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeViolationError
-from .execution import TokenGame, explore
+from .execution import TokenGame, VectorGraph, explore
 from .external import ManaGame, ManaState
 from .internal import (ManaNet, ManaPolicy, generalized_internal_construction,
                        mana_place_name)
@@ -127,11 +127,11 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     Both graphs are explored to the same bounds; the external one is then
     mapped through :func:`state_to_object` and must match the internal
     one node for node and edge for edge (labels included). Both sides run
-    on count vectors, and the map is a fixed one from external
+    on packed count vectors, and the map is a fixed one from external
     coordinates to built-net coordinates: pool coordinate ``t`` goes to
-    the mana place of ``t``. The graphs are compared as sets, in the
-    order :func:`~mananets.execution.explore` found them; no side is
-    sorted.
+    the mana place of ``t``. The graphs are compared as sets of packed
+    nodes, in the order :func:`~mananets.execution.explore` found them;
+    no side is sorted.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
@@ -142,9 +142,8 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
 
-    lay_out = _layout(mn, ext_game, int_game)
-    mapped = [lay_out(v) for v in ext.nodes]
-    discrepancy = _first_discrepancy(int_game, mapped, ext.out, internal)
+    mapped = _laid_out(mn, ext_game, ext, int_game, internal)
+    discrepancy = _first_discrepancy(int_game, internal, mapped, ext.out)
     return EquivalenceReport(
         isomorphic=discrepancy is None,
         ext_nodes=len(ext.nodes),
@@ -155,48 +154,66 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     )
 
 
-def _layout(mn: ManaNet, ext_game: ManaGame, int_game: TokenGame):
-    """:func:`state_to_object` as a map from external to built-net vectors.
+def _laid_out(mn: ManaNet, ext_game: ManaGame, ext: VectorGraph, int_game: TokenGame,
+              internal: VectorGraph) -> list[int]:
+    """The external nodes through :func:`state_to_object`, packed as built-net nodes.
 
-    A marking symbol named like a mana place makes two external
-    coordinates share one built-net place; states are then mapped
-    through :func:`state_to_object` itself.
+    Coordinates adjacent on both sides move as one bit field, so a node
+    usually takes two or three moves. A one-to-one map gives both roots
+    the same counts, hence the same width. A marking symbol named like a
+    mana place makes two external coordinates share one built-net place;
+    states are then mapped through :func:`state_to_object` itself.
     """
-    split = ext_game.split
-    source: list[int | None] = [None] * len(int_game.symbols)
-    for i, symbol in enumerate(ext_game.symbols):
-        j = int_game.position(symbol if i < split else mn.mana_place_of[symbol])
-        if source[j] is not None:
-            return lambda v: int_game.vector(state_to_object(mn, ext_game.state(v)))
-        source[j] = i
-    return lambda v: tuple([0 if i is None else v[i] for i in source])
+    split, width = ext_game.split, ext.width
+    targets = [int_game.position(symbol if i < split else mn.mana_place_of[symbol])
+               for i, symbol in enumerate(ext_game.symbols)]
+    if len(set(targets)) < len(targets) or internal.width != width:
+        return [internal.pack(int_game.vector(state_to_object(mn, ext_game.state(ext.vector(x)))))
+                for x in ext.nodes]
+    field = (1 << width) - 1
+    moves: list = []  # (source shift, mask, target shift), low field last
+    for i, j in enumerate(targets):
+        source = width * (len(targets) - 1 - i)
+        target = width * (len(int_game.symbols) - 1 - j)
+        if moves and moves[-1][0] == source + width and moves[-1][2] == target + width:
+            moves[-1] = (source, moves[-1][1] << width | field, target)
+        else:
+            moves.append((source, field, target))
+    mapped = [0] * len(ext.nodes)
+    for source, mask, target in moves:
+        mapped = [y | (x >> source & mask) << target for x, y in zip(ext.nodes, mapped)]
+    return mapped
 
 
-def _first_discrepancy(game: TokenGame, ext_nodes: list, ext_out: list,
-                       internal) -> dict | None:
+def _first_discrepancy(game: TokenGame, internal: VectorGraph, ext_nodes: list,
+                       ext_out: list) -> dict | None:
     """The least node, else the least edge, found on one side only.
 
-    `ext_nodes` are the external states already laid out on the built
-    net, in the external graph's order, so that the external firings
+    `ext_nodes` are the external nodes already packed as built-net
+    nodes, in the external graph's order, so that the external firings
     `ext_out` can refer to them by position. Both sides are compared as
-    sets, so neither needs to be sorted.
+    sets, so neither needs to be sorted; only a node that differs is
+    unpacked.
     """
+    def state(x: int) -> Multiset:
+        return game.state(internal.vector(x))
+
     ext_set = set(ext_nodes)
     int_set = set(internal.nodes)
     for side, extra in (("external-only", ext_set - int_set),
                         ("internal-only", int_set - ext_set)):
         if extra:
-            first = min((game.state(v) for v in extra), key=Multiset.sort_key)
+            first = min(map(state, extra), key=Multiset.sort_key)
             return {"kind": "node", "side": side, "value": first.as_dict()}
 
-    position = {v: k for k, v in enumerate(internal.nodes)}
-    at = [position[v] for v in ext_nodes]
+    position = {x: k for k, x in enumerate(internal.nodes)}
+    at = [position[x] for x in ext_nodes]
     ext_arcs = {(at[s], label, at[d]) for s, pairs in enumerate(ext_out) for label, d in pairs}
     int_arcs = {(s, label, d) for s, pairs in enumerate(internal.out) for label, d in pairs}
     for side, extra in (("external-only", ext_arcs - int_arcs),
                         ("internal-only", int_arcs - ext_arcs)):
         if extra:
-            edges = [(game.state(internal.nodes[s]), label, game.state(internal.nodes[d]))
+            edges = [(state(internal.nodes[s]), label, state(internal.nodes[d]))
                      for s, label, d in extra]
             first = min(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
             return {"kind": "edge", "side": side,

@@ -9,21 +9,32 @@ order of independent firings describe the same execution, which is what
 Bounded reachability runs on the net compiled once into its incidence
 form (a :class:`TokenGame`): every symbol that can occur gets a
 coordinate, and every transition becomes the counts it needs and the
-changes it makes. :func:`explore` then searches over plain tuples of
-counts and returns them in the order it found them. The mana game of
-:mod:`mananets.external` appends the pool as a second segment of the
-same vector, so :func:`reach`, :func:`~mananets.external.mana_reach` and
-both sides of :func:`~mananets.equivalence.check_equivalence` share this
-one kernel; a malformed arc raises when it is compiled, before any search.
-Only where the order shows is a graph sorted, by
-:func:`order_nodes`: :func:`reach` and ``mana_reach`` then build one
-``Multiset`` value per node, and :func:`~mananets.documents.emit_graph_json`
-writes the text straight from the vectors.
+changes it makes. The mana game of :mod:`mananets.external` appends the
+pool as a second segment of the same vector, so :func:`reach`,
+:func:`~mananets.external.mana_reach` and both sides of
+:func:`~mananets.equivalence.check_equivalence` share one kernel; a
+malformed arc raises when it is compiled, before any search.
+
+:func:`explore` packs each state into one integer, one fixed-width field
+per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
+register"). No node holds a count above the token bound or the largest
+count of the root, so a field has room for that count plus a guard bit
+on top, rounded up to 8, 16, 32 or 64 bits. With every guard bit set, a
+state covers a step's counts iff subtracting them, all at once, leaves
+every guard bit set; a firing is one addition of the step's change. A
+step that needs more than a field can hold is never enabled and is left
+out, since its subtraction would borrow across fields.
+:func:`order_nodes` sorts packed nodes by an integer key. Nodes are
+unpacked into count tuples only where they leave the kernel: in
+:meth:`TokenGame.reach`, in :func:`~mananets.documents.emit_graph_json`
+and, for a discrepancy, in the equivalence check, which compares the
+two graphs as sets of packed nodes.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -199,8 +210,19 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
 
 # -- bounded reachability ---------------------------------------------------
 
-#: Stands in for a zero count in a vector sort key: above every stored count.
-_ABSENT = COUNT_MAX + 1
+#: Struct codes of the field widths a packed state can take, in bits.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def field_width(root, token_bound: int) -> int:
+    """Bits per packed coordinate for an exploration from the `root` vector.
+
+    A node holds no count above both the token bound and the root's
+    largest count, nor above ``COUNT_MAX``; the field has room for that
+    count plus a guard bit, rounded up to a whole struct code.
+    """
+    bits = min(max(token_bound, max(root, default=0)), COUNT_MAX).bit_length() + 1
+    return next(width for width in _FIELD_CODES if bits <= width)
 
 
 @dataclass(frozen=True)
@@ -217,19 +239,6 @@ class ReachGraph:
     depth_bound: int
     token_bound: int
     truncated: bool
-
-
-def _segment_key(counts) -> tuple:
-    """Order count vectors over sorted symbols as ``Multiset.sort_key`` orders them.
-
-    A zero count means the multiset's next entry has a larger symbol, so
-    it sorts above any count; a multiset that ends early is a prefix, so
-    trailing zeros are dropped.
-    """
-    key = [c or _ABSENT for c in counts]
-    while key and key[-1] is _ABSENT:
-        key.pop()
-    return tuple(key)
 
 
 class TokenGame:
@@ -316,27 +325,12 @@ class TokenGame:
     def state(self, vector) -> Multiset:
         return self._multiset(vector, 0, self.split)
 
-    def key(self, vector) -> tuple:
-        return _segment_key(vector)
-
-    def can_fire(self, vector, size: int) -> bool:
-        """Whether any step is enabled; the first enabled firing raises as the BFS would."""
-        for _, pre, delta, growth in self.steps:
-            for i, need in pre:
-                if vector[i] < need:
-                    break
-            else:
-                if size + growth > COUNT_MAX:
-                    self.check_overflow(vector, delta)
-                return True
-        return False
-
     def reach(self, root, depth_bound: int, token_bound: int) -> ReachGraph:
         """Explore from the `root` state and sort; each node becomes an API value once."""
         graph = explore(self, self.vector(root),
                         depth_bound=depth_bound, token_bound=token_bound)
         order, rank = order_nodes(self, graph)
-        nodes = [self.state(graph.nodes[s]) for s in order]
+        nodes = [self.state(graph.vector(graph.nodes[s])) for s in order]
         nodes[rank[0]] = root
         edges = [(nodes[r], label, nodes[rank[d]])
                  for r, s in enumerate(order) for label, d in graph.out[s]]
@@ -347,20 +341,35 @@ class TokenGame:
 class VectorGraph:
     """The states :func:`explore` found and the firings out of each, in search order.
 
-    `nodes` holds the state vectors in the order they were found, the
-    root first. ``out[s]`` lists the ``(label, target)`` firings out of
-    node `s` in the game's step order, targets being positions in
-    `nodes`; a node that was not expanded has none. :func:`order_nodes`
-    sorts the nodes where the order matters. It is a plain class because
-    a frozen dataclass generates and compiles its methods at import time.
+    `nodes` holds the packed states in the order they were found, the
+    root first; :meth:`vector` unpacks one into its counts. Each field
+    is `width` bits wide, and `guard` holds the top bit of every field.
+    ``out[s]`` lists the ``(label, target)`` firings out of node `s` in
+    the game's step order, targets being positions in `nodes`; a node
+    that was not expanded has none. :func:`order_nodes` sorts the nodes
+    where the order matters. It is a plain class because a frozen
+    dataclass generates and compiles its methods at import time.
     """
 
-    __slots__ = ("nodes", "out", "truncated")
+    __slots__ = ("nodes", "out", "truncated", "width", "guard", "_fields")
 
-    def __init__(self, nodes: list, out: list, truncated: bool):
+    def __init__(self, nodes: list, out: list, truncated: bool, width: int,
+                 coordinates: int):
         self.nodes = nodes
         self.out = out
         self.truncated = truncated
+        self.width = width
+        self._fields = struct.Struct(f">{coordinates}{_FIELD_CODES[width]}")
+        self.guard = self.pack([1 << width - 1] * coordinates)
+
+    def vector(self, node: int) -> tuple:
+        """The counts of a packed node, one per coordinate."""
+        fields = self._fields
+        return fields.unpack(node.to_bytes(fields.size, "big"))
+
+    def pack(self, vector) -> int:
+        """The packed node of a count vector."""
+        return int.from_bytes(self._fields.pack(*vector), "big")
 
     @property
     def edges(self) -> _Edges:
@@ -385,6 +394,11 @@ class _Edges:
                 yield s, label, d
 
 
+def _packed(pairs, coordinates: int, width: int) -> int:
+    # (coordinate, count) pairs as one integer; negative counts borrow.
+    return sum(c << width * (coordinates - 1 - i) for i, c in pairs)
+
+
 def explore(game: TokenGame, root: tuple, *, depth_bound: int,
             token_bound: int) -> VectorGraph:
     """Breadth-first closure of the game's firings from the `root` vector.
@@ -394,66 +408,92 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
     that hides a firing marks the graph as truncated. The search runs
     level by level, in the order a FIFO queue would, so that a count
     past ``COUNT_MAX`` raises at the same point as on ``Multiset`` values.
-    The graph comes back in that discovery order, unsorted; see
-    :func:`order_nodes`.
+    States are packed with :func:`field_width` bits per coordinate. The
+    graph comes back in discovery order, unsorted; see :func:`order_nodes`.
     """
-    steps = game.steps
-    index = {root: 0}
-    states = [root]
+    coordinates = len(root)
+    width = field_width(root, token_bound)
+    top = width - 1
+    graph = VectorGraph([], [], False, width, coordinates)
+    guard = graph.guard
+    # A step that needs a count of 2**top or more is never enabled, and
+    # subtracting its needs would borrow across fields: it is left out.
+    steps = [(label, _packed(pre, coordinates, width), _packed(delta, coordinates, width),
+              growth, delta)
+             for label, pre, delta, growth in game.steps
+             if all(need >> top == 0 for _, need in pre)]
+    start = graph.pack(root)
+    index = {start: 0}
+    states = graph.nodes
+    states.append(start)
     sizes = [sum(root)]
     # Nodes are visited in the order they were found, so `out` grows with them.
-    out: list = []
+    out = graph.out
     truncated = False
     frontier = [0]
     depth = 0
     found = 1
     while frontier:
         level = []
+        cut = depth >= depth_bound
         for s in frontier:
             state = states[s]
             size = sizes[s]
-            if depth >= depth_bound or size > token_bound:
-                if game.can_fire(state, size):
-                    truncated = True
-                out.append(())
-                continue
+            stop = cut or size > token_bound
+            covered = state | guard
             edges = []
-            for label, pre, delta, growth in steps:
-                for i, need in pre:
-                    if state[i] < need:
-                        break
-                else:
-                    nxt_size = size + growth
-                    if nxt_size > COUNT_MAX:
-                        game.check_overflow(state, delta)
-                    counts = list(state)
-                    for i, d in delta:
-                        counts[i] += d
-                    nxt = tuple(counts)
-                    if nxt_size > token_bound:
-                        truncated = True
-                        continue
-                    j = index.setdefault(nxt, found)
-                    if j == found:
-                        found += 1
-                        states.append(nxt)
-                        sizes.append(nxt_size)
-                        level.append(j)
-                    edges.append((label, j))
-            out.append(edges)
+            for label, pre, delta, growth, change in steps:
+                if (covered - pre) & guard != guard:
+                    continue
+                nxt_size = size + growth
+                if nxt_size > COUNT_MAX:
+                    game.check_overflow(graph.vector(state), change)
+                if stop:
+                    truncated = True
+                    break
+                if nxt_size > token_bound:
+                    truncated = True
+                    continue
+                nxt = state + delta
+                j = index.setdefault(nxt, found)
+                if j == found:
+                    found += 1
+                    states.append(nxt)
+                    sizes.append(nxt_size)
+                    level.append(j)
+                edges.append((label, j))
+            out.append(edges or ())
         frontier = level
         depth += 1
-    return VectorGraph(states, out, truncated)
+    graph.truncated = truncated
+    return graph
 
 
 def order_nodes(game: TokenGame, graph: VectorGraph) -> tuple[list[int], list[int]]:
-    """Sort the nodes of `graph` by ``game.key``, the order of ``ReachGraph``.
+    """Sort the nodes of `graph` in the order of ``ReachGraph``.
 
-    Returns the node positions in sorted order and, for each position,
-    its rank in that order. A node's firings already come in label
-    order, so walking ``graph.out`` in this order gives the sorted edges.
+    Each segment, the marking and then any pool, orders as its multiset's
+    ``sort_key``. The integer key sets every bit of a zero field, which
+    then sorts above any count (the multiset's next symbol is larger),
+    and clears the zero fields after a segment's last count, so that a
+    segment which ends early sorts first, as a prefix does. Returns the
+    node positions in sorted order and, for each position, its rank. A
+    node's firings come in label order, so walking ``graph.out`` in this
+    order gives the sorted edges.
     """
-    keys = [game.key(v) for v in graph.nodes]
+    top = graph.width - 1
+    guard = graph.guard
+    low = graph.width * (len(game.symbols) - game.split)
+    pool = (1 << low) - 1
+    keys = []
+    for x in graph.nodes:
+        zeros = (guard - x) & guard
+        key = x | zeros | (zeros - (zeros >> top))
+        if low:
+            marking, rest = x >> low, x & pool
+            keys.append(key & ((-(marking & -marking) << low) | (-(rest & -rest) & pool)))
+        else:
+            keys.append(key & -(x & -x))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(order)
     for r, s in enumerate(order):

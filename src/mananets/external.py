@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotManaEnabledError, UnknownSymbolError
-from .execution import (ReachGraph, TokenGame, Trace, _check_trace, _segment_key, enabled,
-                        fire, occurrence_counts)
+from .execution import (ReachGraph, TokenGame, Trace, _check_trace, enabled, fire,
+                        occurrence_counts)
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
@@ -203,9 +203,6 @@ class ManaGame(TokenGame):
     def state(self, vector) -> ManaState:
         return ManaState(self._multiset(vector, 0, self.split),
                          self._multiset(vector, self.split, len(self.symbols)))
-
-    def key(self, vector) -> tuple:
-        return (_segment_key(vector[:self.split]), _segment_key(vector[self.split:]))
 
 
 def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,

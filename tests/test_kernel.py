@@ -119,7 +119,11 @@ TRANSITIONS = ("t0", "t1", "t2")
 #: place name, which collides with t0's mana when it sits in a marking.
 STRAYS = ("x", "mana:t0")
 
-counts = st.one_of(st.integers(0, 3), st.integers(0, 3),
+#: Counts on each side of the kernel's field-width edges: a node packs
+#: into fields of 8, 16, 32 or 64 bits, guard bit included.
+EDGES = (127, 128, 255, 256, 2**15 - 1, 2**15 + 1, 2**31 - 1, 2**31 + 1, 2**62)
+edge_counts = st.sampled_from(EDGES)
+counts = st.one_of(st.integers(0, 3), st.integers(0, 3), edge_counts,
                    st.integers(COUNT_MAX - 2, COUNT_MAX))
 #: Counts one below the bound or at it: adding 2 to each of two such
 #: counts in one firing pushes both past the bound.
@@ -156,7 +160,10 @@ def nets(draw, stray_arcs=True):
     places = draw(st.lists(st.sampled_from(PLACES), min_size=1, unique=True))
     names = draw(st.lists(st.sampled_from(TRANSITIONS), unique=True))
     arc_symbols = places + list(STRAYS[:1]) if stray_arcs else places
-    pre = {t: draw(multisets(arc_symbols)) for t in names}
+    # A pre count at an edge or at COUNT_MAX may need more than a field holds.
+    needs = st.one_of(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                      edge_counts, st.just(COUNT_MAX))
+    pre = {t: draw(multisets(arc_symbols, needs)) for t in names}
     post = {t: draw(arcs(arc_symbols)) for t in names}
     return Net(tuple(places), tuple(names), pre, post)
 
@@ -183,7 +190,7 @@ def pools(net):
     return near_full(list(net.transitions) + ["zz"])
 
 
-bounds = st.tuples(st.integers(0, 5), st.one_of(st.integers(0, 8),
+bounds = st.tuples(st.integers(0, 5), st.one_of(st.integers(0, 8), edge_counts,
                                                 st.just(4 * COUNT_MAX)))
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -241,13 +248,13 @@ def game_and_root(data, net, initial):
 def ordered(game, root, depth, bound):
     """Explore, then sort with order_nodes, as the library's reach does."""
     graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
-    assert graph.nodes[0] == game.vector(root)
+    assert graph.vector(graph.nodes[0]) == game.vector(root)
     discovered_by = {}
     for s, _, d in graph.edges:
         discovered_by.setdefault(d, s)
     assert all(discovered_by[d] < d for d in range(1, len(graph.nodes)))
     order, rank = order_nodes(game, graph)
-    nodes = tuple(game.state(graph.nodes[s]) for s in order)
+    nodes = tuple(game.state(graph.vector(graph.nodes[s])) for s in order)
     edges = tuple((nodes[r], label, nodes[rank[d]])
                   for r, s in enumerate(order) for label, d in graph.out[s])
     assert len(graph.edges) == len(edges)

@@ -486,10 +486,11 @@ def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
     graph_to_json_dict(game.reach(root, depth_bound, token_bound)),
     sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, so nodes and
     edges come in the order of :func:`~mananets.execution.order_nodes`.
-    Each node is unpacked once and written from the game's sorted
-    symbols, the marking segment and, for a
-    :class:`~mananets.external.ManaGame`, the pool segment; no
-    ``Multiset`` or ``ReachGraph`` is built. With an indent,
+    The nodes are unpacked together, in sorted order, and each is
+    written from the game's sorted symbols, the marking segment and, for
+    a :class:`~mananets.external.ManaGame`, the pool segment; no
+    ``Multiset`` or ``ReachGraph`` is built. Each member text and each
+    rank text is made once and reused. With an indent,
     ``json.dumps`` runs its pure-Python encoder, which would dominate the
     time of a large ``reach``; this writer only joins strings.
     """
@@ -506,11 +507,11 @@ def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
         close = "\n" + indent + "}"
 
         def counts(vector) -> str:
-            entries = [texts[c] for texts, c in zip(members, vector[start:]) if c]
-            return "{" + inner[1:] + inner.join(entries) + close if entries else "{}"
+            body = inner.join(filter(None, map(_Members.__getitem__, members, vector[start:])))
+            return "{" + inner[1:] + body + close if body else "{}"
         return counts
 
-    vectors = [graph.vector(graph.nodes[s]) for s in order]
+    vectors = graph.vectors([graph.nodes[s] for s in order])
     if isinstance(game, ManaGame):
         marking = segment(0, split, "      ")
         pool = segment(split, len(symbols), "      ")
@@ -519,13 +520,18 @@ def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
     else:
         counts = segment(0, split, "    ")
         nodes = [counts(v) for v in vectors]
-    edges = [f"[\n      {r},\n      {names[label]},\n      {rank[d]}\n    ]"
-             for r, s in enumerate(order) for label, d in out[s]]
+    # Each node's rank as text, by position: a rank is formatted once,
+    # not once per edge that touches it.
+    ranks = [str(r) for r in rank]
+    edges = [f"[\n      {ranks[s]},\n      {names[label]},\n      {ranks[d]}\n    ]"
+             for s in order for label, d in out[s]]
+    root = ranks[0]
+    del ranks, vectors  # the join below is the writer's peak in memory
     return "".join((
         '{\n  "depth_bound": ', _json_scalar(depth_bound),
         ',\n  "edges": ', _json_list(edges),
         ',\n  "nodes": ', _json_list(nodes),
-        ',\n  "root": ', str(rank[0]),
+        ',\n  "root": ', root,
         ',\n  "token_bound": ', _json_scalar(token_bound),
         ',\n  "truncated": ', _json_scalar(graph.truncated),
         "\n}\n"))
@@ -546,6 +552,7 @@ class _Members(dict):
 
     def __init__(self, head: str):
         self.head = head
+        self[0] = ""  # a zero count is no member
 
     def __missing__(self, count: int) -> str:
         text = self[count] = self.head + str(count)

@@ -129,9 +129,11 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     one node for node and edge for edge (labels included). Both sides run
     on packed count vectors, and the map is a fixed one from external
     coordinates to built-net coordinates: pool coordinate ``t`` goes to
-    the mana place of ``t``. The graphs are compared as sets of packed
-    nodes, in the order :func:`~mananets.execution.explore` found them;
-    no side is sorted.
+    the mana place of ``t``. Both sides are explored in the same step
+    order, so a sound construction finds the same nodes in the same order
+    on each: the graphs are compared in that discovery order first, and
+    as sets of packed nodes only when the orders differ. No side is
+    sorted.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
@@ -168,8 +170,8 @@ def _laid_out(mn: ManaNet, ext_game: ManaGame, ext: VectorGraph, int_game: Token
     targets = [int_game.position(symbol if i < split else mn.mana_place_of[symbol])
                for i, symbol in enumerate(ext_game.symbols)]
     if len(set(targets)) < len(targets) or internal.width != width:
-        return [internal.pack(int_game.vector(state_to_object(mn, ext_game.state(ext.vector(x)))))
-                for x in ext.nodes]
+        return [internal.pack(int_game.vector(state_to_object(mn, ext_game.state(v))))
+                for v in ext.vectors(ext.nodes)]
     field = (1 << width) - 1
     moves: list = []  # (source shift, mask, target shift), low field last
     for i, j in enumerate(targets):
@@ -191,19 +193,24 @@ def _first_discrepancy(game: TokenGame, internal: VectorGraph, ext_nodes: list,
 
     `ext_nodes` are the external nodes already packed as built-net
     nodes, in the external graph's order, so that the external firings
-    `ext_out` can refer to them by position. Both sides are compared as
-    sets, so neither needs to be sorted; only a node that differs is
-    unpacked.
+    `ext_out` can refer to them by position. When both sides list the
+    same nodes and firings in the same discovery order, the graphs are
+    equal and nothing else is done. Otherwise both sides are compared as
+    sets, so neither needs to be sorted; only the nodes of a
+    discrepancy are unpacked.
     """
-    def state(x: int) -> Multiset:
-        return game.state(internal.vector(x))
+    if ext_nodes == internal.nodes and ext_out == internal.out:
+        return None
+
+    def states(nodes: list) -> list[Multiset]:
+        return list(map(game.state, internal.vectors(nodes)))
 
     ext_set = set(ext_nodes)
     int_set = set(internal.nodes)
     for side, extra in (("external-only", ext_set - int_set),
                         ("internal-only", int_set - ext_set)):
         if extra:
-            first = min(map(state, extra), key=Multiset.sort_key)
+            first = min(states(list(extra)), key=Multiset.sort_key)
             return {"kind": "node", "side": side, "value": first.as_dict()}
 
     position = {x: k for k, x in enumerate(internal.nodes)}
@@ -213,9 +220,10 @@ def _first_discrepancy(game: TokenGame, internal: VectorGraph, ext_nodes: list,
     for side, extra in (("external-only", ext_arcs - int_arcs),
                         ("internal-only", int_arcs - ext_arcs)):
         if extra:
-            edges = [(state(internal.nodes[s]), label, state(internal.nodes[d]))
-                     for s, label, d in extra]
-            first = min(edges, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
+            ends = list({k for s, _, d in extra for k in (s, d)})
+            state = dict(zip(ends, states([internal.nodes[k] for k in ends])))
+            first = min(((state[s], label, state[d]) for s, label, d in extra),
+                        key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
             return {"kind": "edge", "side": side,
                     "value": [first[0].as_dict(), first[1], first[2].as_dict()]}
     return None

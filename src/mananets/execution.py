@@ -25,10 +25,11 @@ every guard bit set; a firing is one addition of the step's change. A
 step that needs more than a field can hold is never enabled and is left
 out, since its subtraction would borrow across fields.
 :func:`order_nodes` sorts packed nodes by an integer key. Nodes are
-unpacked into count tuples only where they leave the kernel: in
-:meth:`TokenGame.reach`, in :func:`~mananets.documents.emit_graph_json`
-and, for a discrepancy, in the equivalence check, which compares the
-two graphs as sets of packed nodes.
+unpacked into count tuples, all at once by :meth:`VectorGraph.vectors`,
+only where they leave the kernel: in :meth:`TokenGame.reach`, in
+:func:`~mananets.documents.emit_graph_json` and, for a discrepancy, in
+the equivalence check. That check compares the two graphs in discovery
+order first, and as sets of packed nodes only when the orders differ.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ class TokenGame:
         graph = explore(self, self.vector(root),
                         depth_bound=depth_bound, token_bound=token_bound)
         order, rank = order_nodes(self, graph)
-        nodes = [self.state(graph.vector(graph.nodes[s])) for s in order]
+        nodes = list(map(self.state, graph.vectors([graph.nodes[s] for s in order])))
         nodes[rank[0]] = root
         edges = [(nodes[r], label, nodes[rank[d]])
                  for r, s in enumerate(order) for label, d in graph.out[s]]
@@ -342,13 +343,13 @@ class VectorGraph:
     """The states :func:`explore` found and the firings out of each, in search order.
 
     `nodes` holds the packed states in the order they were found, the
-    root first; :meth:`vector` unpacks one into its counts. Each field
-    is `width` bits wide, and `guard` holds the top bit of every field.
-    ``out[s]`` lists the ``(label, target)`` firings out of node `s` in
-    the game's step order, targets being positions in `nodes`; a node
-    that was not expanded has none. :func:`order_nodes` sorts the nodes
-    where the order matters. It is a plain class because a frozen
-    dataclass generates and compiles its methods at import time.
+    root first; :meth:`vectors` unpacks a list of them into their
+    counts. Each field is `width` bits wide, and `guard` holds the top
+    bit of every field. ``out[s]`` lists the ``(label, target)`` firings
+    out of node `s` in the game's step order, targets being positions in
+    `nodes`; a node that was not expanded has none. :func:`order_nodes`
+    sorts the nodes where the order matters. It is a plain class because
+    a frozen dataclass generates and compiles its methods at import time.
     """
 
     __slots__ = ("nodes", "out", "truncated", "width", "guard", "_fields")
@@ -362,10 +363,13 @@ class VectorGraph:
         self._fields = struct.Struct(f">{coordinates}{_FIELD_CODES[width]}")
         self.guard = self.pack([1 << width - 1] * coordinates)
 
-    def vector(self, node: int) -> tuple:
-        """The counts of a packed node, one per coordinate."""
+    def vectors(self, nodes: list) -> list:
+        """The counts of each packed node in `nodes`, unpacked in one call."""
         fields = self._fields
-        return fields.unpack(node.to_bytes(fields.size, "big"))
+        size = fields.size
+        if not size:  # no coordinates: every node is the empty vector
+            return [()] * len(nodes)
+        return list(fields.iter_unpack(b"".join([x.to_bytes(size, "big") for x in nodes])))
 
     def pack(self, vector) -> int:
         """The packed node of a count vector."""
@@ -447,7 +451,7 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
                     continue
                 nxt_size = size + growth
                 if nxt_size > COUNT_MAX:
-                    game.check_overflow(graph.vector(state), change)
+                    game.check_overflow(graph.vectors([state])[0], change)
                 if stop:
                     truncated = True
                     break

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,12 @@ from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, Net,
                       mana_enabled, mana_net_from_built, object_to_state,
                       state_to_object)
 from mananets import equivalence
+from mananets.documents import parse_json
+from mananets.execution import TokenGame, VectorGraph, explore
+from mananets.external import ManaGame
 from mananets.sampling import random_net, random_policy, random_state
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_internalize_plain_matches_drawn_net(abc_net):
@@ -174,6 +180,72 @@ def test_check_equivalence_catches_a_faulty_construction(monkeypatch, loop_net, 
         "value": {"mana:u2": 1, "mana:u3": 2, "mana:u4": 1, "p1": 1, "p2": 1}}
 
 
+def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
+    """A catalyst built to need two units of its mana, and to give both back.
+
+    Both sides find the same nodes in the same order, since the catalyst
+    loops back to where it starts; only its firings differ, so the
+    discrepancy is an edge.
+    """
+    net = Net.build(["A"], {"u": ({"A": 1}, {"A": 1}), "v": ({"A": 1}, {"A": 1})})
+    policy = ManaPolicy.of(net, {"u": (1, {"u": 1}), "v": (1, {})})
+    sound = equivalence.internalize
+
+    def faulty(net, policy):
+        mn = sound(net, policy)
+        extra = Multiset({"mana:u": 1})
+        pre = dict(mn.built.pre, u=mn.built.pre["u"] + extra)
+        post = dict(mn.built.post, u=mn.built.post["u"] + extra)
+        built = Net(mn.built.places, mn.built.transitions, pre, post)
+        return ManaNet(mn.base, built, mn.mana_place_of, mn.policy)
+
+    monkeypatch.setattr(equivalence, "internalize", faulty)
+    report = check_equivalence(net, policy, ManaState(ms(A=1), ms(u=1, v=1)), 4, 10)
+    assert not report.isomorphic
+    assert (report.ext_nodes, report.int_nodes, report.ext_edges, report.int_edges) == \
+        (2, 2, 3, 1)
+    assert report.first_discrepancy == {
+        "kind": "edge", "side": "external-only",
+        "value": [{"A": 1, "mana:u": 1}, "u", {"A": 1, "mana:u": 1}]}
+
+
+def explored_sides(net, policy, initial, depth, bound):
+    """The arguments check_equivalence hands _first_discrepancy."""
+    mn = internalize(net, policy)
+    ext_game = ManaGame(net, policy, initial)
+    ext = explore(ext_game, ext_game.vector(initial), depth_bound=depth, token_bound=bound)
+    root = state_to_object(mn, initial)
+    int_game = TokenGame(mn.built, root)
+    internal = explore(int_game, int_game.vector(root), depth_bound=depth, token_bound=bound)
+    mapped = equivalence._laid_out(mn, ext_game, ext, int_game, internal)
+    return int_game, internal, mapped, ext.out
+
+
+def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
+    """Discovery order is not part of the verdict: the set comparison decides."""
+    game, internal, mapped, ext_out = explored_sides(
+        loop_net, loop_policy, ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1)), 8, 14)
+    count = len(internal.nodes)
+    assert count > 2
+    new = [0] + list(range(count - 1, 0, -1))  # the root stays first
+    nodes = [None] * count
+    out = [None] * count
+    for s, x in enumerate(internal.nodes):
+        nodes[new[s]] = x
+        out[new[s]] = [(label, new[d]) for label, d in internal.out[s]]
+    renumbered = VectorGraph(nodes, out, internal.truncated, internal.width,
+                             len(game.symbols))
+    assert renumbered.nodes != mapped
+    assert equivalence._first_discrepancy(game, renumbered, mapped, ext_out) is None
+
+
+def assert_same_discovery_order(net, policy, initial, depth, bound):
+    """The external nodes, laid out, and their firings equal the internal ones, in order."""
+    _, internal, mapped, ext_out = explored_sides(net, policy, initial, depth, bound)
+    assert mapped == internal.nodes
+    assert ext_out == internal.out
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_check_equivalence_random(seed):
     rng = random.Random(seed)
@@ -182,6 +254,17 @@ def test_check_equivalence_random(seed):
     init = random_state(rng, net)
     report = check_equivalence(net, policy, init, 6, 12)
     assert report.isomorphic, report.first_discrepancy
+    assert_same_discovery_order(net, policy, init, 6, 12)
+
+
+@pytest.mark.parametrize("name, depth, bound", [
+    ("ring6", 8, 12), ("loop", 10, 10), ("pump", 6, 127), ("pump", 6, 128)])
+def test_golden_equiv_inputs_are_found_in_one_order(name, depth, bound):
+    """A sound construction needs no set comparison on the golden inputs."""
+    doc = parse_json((DATA / f"{name}.json").read_bytes())
+    policy = doc.policy if doc.policy is not None else ManaPolicy.plain(doc.net)
+    initial = ManaState(doc.marking or EMPTY, doc.pool or EMPTY)
+    assert_same_discovery_order(doc.net, policy, initial, depth, bound)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -248,13 +248,13 @@ def game_and_root(data, net, initial):
 def ordered(game, root, depth, bound):
     """Explore, then sort with order_nodes, as the library's reach does."""
     graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
-    assert graph.vector(graph.nodes[0]) == game.vector(root)
+    assert graph.vectors(graph.nodes[:1]) == [game.vector(root)]
     discovered_by = {}
     for s, _, d in graph.edges:
         discovered_by.setdefault(d, s)
     assert all(discovered_by[d] < d for d in range(1, len(graph.nodes)))
     order, rank = order_nodes(game, graph)
-    nodes = tuple(game.state(graph.vector(graph.nodes[s])) for s in order)
+    nodes = tuple(map(game.state, graph.vectors([graph.nodes[s] for s in order])))
     edges = tuple((nodes[r], label, nodes[rank[d]])
                   for r, s in enumerate(order) for label, d in graph.out[s])
     assert len(graph.edges) == len(edges)
@@ -397,3 +397,32 @@ def test_writer_empty_node_and_no_edges():
     assert text == canonical(graph)
     assert '"nodes": [\n    {}\n  ]' in text
     assert '"edges": []' in text
+
+
+WRITER_NET = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1}), "v": ({"B": 1}, {})})
+EMPTY_NET = Net.build([], {"t": ({}, {})})
+
+
+@pytest.mark.parametrize("net, marking, pool, bound, width", [
+    # Every pool count zero, the marking not.
+    pytest.param(WRITER_NET, {"A": 2}, {}, 4, 8, id="zero-pool"),
+    # v empties the marking and leaves u's mana: an empty marking next to a pool.
+    pytest.param(WRITER_NET, {"B": 1}, {"u": 1, "v": 1}, 4, 8, id="empty-marking"),
+    # One root at each field width; the root is also a node's largest count.
+    pytest.param(WRITER_NET, {"A": 100}, None, 100, 8, id="width-8"),
+    pytest.param(WRITER_NET, {"A": 200}, {"u": 1}, 200, 16, id="width-16"),
+    pytest.param(WRITER_NET, {"A": 2**15 + 1}, None, 2**15 + 1, 32, id="width-32"),
+    pytest.param(WRITER_NET, {"A": 2**31 + 1}, {"v": 2}, 2**31 + 1, 64, id="width-64"),
+    # No coordinate at all: every node is the empty vector.
+    pytest.param(EMPTY_NET, {}, None, 3, 8, id="no-coordinates"),
+])
+def test_writer_edge_cases(net, marking, pool, bound, width):
+    marking = Multiset(marking)
+    if pool is None:
+        game, root, graph = TokenGame(net, marking), marking, reach(net, marking, 3, bound)
+    else:
+        root = ManaState(marking, Multiset(pool))
+        policy = ManaPolicy.plain(net)
+        game, graph = ManaGame(net, policy, root), mana_reach(net, policy, root, 3, bound)
+    assert explore(game, game.vector(root), depth_bound=3, token_bound=bound).width == width
+    assert written(game, root, 3, bound) == canonical(graph)

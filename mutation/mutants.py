@@ -17,6 +17,19 @@ MUTANTS = [
         "kill": ["tests/test_equivalence.py::test_check_equivalence_catches_a_faulty_firing"],
     },
     {
+        "name": "equivalence: external side handed over sorted, so the fast accept never fires",
+        "file": "src/mananets/equivalence.py",
+        "old": "    discrepancy = _first_discrepancy(int_game, internal, mapped, ext.out)\n",
+        "new": "    order = sorted(range(len(mapped)), key=mapped.__getitem__)\n"
+               "    pos = {s: i for i, s in enumerate(order)}\n"
+               "    out = [[(label, pos[d]) for label, d in ext.out[s]] for s in order]\n"
+               "    discrepancy = _first_discrepancy(int_game, internal,"
+               " [mapped[s] for s in order], out)\n",
+        "kill": ["tests/test_equivalence.py::test_check_equivalence_random[0]",
+                 "tests/test_equivalence.py::test_golden_equiv_inputs_are_found_in_one_order"
+                 "[ring6-8-12]"],
+    },
+    {
         "name": "equivalence: layout runs merged when only the source side is adjacent",
         "file": "src/mananets/equivalence.py",
         "old": "        if moves and moves[-1][0] == source + width"

@@ -11,10 +11,9 @@ so a refactor that moves mutated code has to update its mutants.
 
 Run from anywhere, with pytest and Hypothesis installed::
 
-    python3 mutation/mutate.py            # every mutant
-    python3 mutation/mutate.py writer     # mutants whose name contains "writer"
+    python3 mutation/mutate.py
 
-The exit status is 0 when every mutant selected was killed, 1 otherwise.
+The exit status is 0 when every mutant was killed, 1 otherwise.
 This module is also the pytest plugin that records which tests failed.
 """
 
@@ -55,14 +54,10 @@ def failed_tests(workdir: Path, node_ids: list[str]) -> tuple[int, set[str], str
     return done.returncode, failed, done.stdout + done.stderr
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.path.insert(0, str(HERE))
     from mutants import MUTANTS
 
-    chosen = [m for m in MUTANTS if not argv or any(word in m["name"] for word in argv)]
-    if not chosen:
-        print(f"no mutant matches {argv}")
-        return 1
     with tempfile.TemporaryDirectory(prefix="mananets-mutants-") as tmp:
         workdir = Path(tmp)
         for name in COPIED:
@@ -73,7 +68,7 @@ def main(argv: list[str]) -> int:
             else:
                 shutil.copy2(source, workdir / name)
 
-        every_id = sorted({node for m in chosen for node in m["kill"]})
+        every_id = sorted({node for m in MUTANTS for node in m["kill"]})
         code, failed, output = failed_tests(workdir, every_id)
         if code != 0:
             print(output)
@@ -81,7 +76,7 @@ def main(argv: list[str]) -> int:
             return 1
 
         bad = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = workdir / mutant["file"]
             original = path.read_text(encoding="utf-8")
             found = original.count(mutant["old"])
@@ -105,9 +100,9 @@ def main(argv: list[str]) -> int:
                 bad += 1
             else:
                 print(f"killed    {mutant['name']}")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -10,8 +10,7 @@ from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, Net,
                       state_to_object)
 from mananets import equivalence
 from mananets.documents import parse_json
-from mananets.execution import TokenGame, VectorGraph, explore
-from mananets.external import ManaGame
+from mananets.execution import VectorGraph
 from mananets.sampling import random_net, random_policy, random_state
 
 DATA = Path(__file__).parent / "data"
@@ -209,22 +208,25 @@ def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
         "value": [{"A": 1, "mana:u": 1}, "u", {"A": 1, "mana:u": 1}]}
 
 
-def explored_sides(net, policy, initial, depth, bound):
-    """The arguments check_equivalence hands _first_discrepancy."""
-    mn = internalize(net, policy)
-    ext_game = ManaGame(net, policy, initial)
-    ext = explore(ext_game, ext_game.vector(initial), depth_bound=depth, token_bound=bound)
-    root = state_to_object(mn, initial)
-    int_game = TokenGame(mn.built, root)
-    internal = explore(int_game, int_game.vector(root), depth_bound=depth, token_bound=bound)
-    mapped = equivalence._laid_out(mn, ext_game, ext, int_game, internal)
-    return int_game, internal, mapped, ext.out
+def discrepancy_arguments(monkeypatch, net, policy, initial, depth, bound):
+    """Run check_equivalence: its report and the arguments it handed _first_discrepancy."""
+    real = equivalence._first_discrepancy
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_first_discrepancy", recording)
+    report = check_equivalence(net, policy, initial, depth, bound)
+    (args,) = calls
+    return report, args
 
 
-def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
+def test_a_renumbered_graph_is_equal_as_sets(monkeypatch, loop_net, loop_policy, ms):
     """Discovery order is not part of the verdict: the set comparison decides."""
-    game, internal, mapped, ext_out = explored_sides(
-        loop_net, loop_policy, ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1)), 8, 14)
+    _, (game, internal, mapped, ext_out) = discrepancy_arguments(
+        monkeypatch, loop_net, loop_policy, ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1)), 8, 14)
     count = len(internal.nodes)
     assert count > 2
     new = [0] + list(range(count - 1, 0, -1))  # the root stays first
@@ -239,32 +241,33 @@ def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
     assert equivalence._first_discrepancy(game, renumbered, mapped, ext_out) is None
 
 
-def assert_same_discovery_order(net, policy, initial, depth, bound):
-    """The external nodes, laid out, and their firings equal the internal ones, in order."""
-    _, internal, mapped, ext_out = explored_sides(net, policy, initial, depth, bound)
+def assert_sound_in_one_order(monkeypatch, net, policy, initial, depth, bound):
+    """check_equivalence accepts, and hands _first_discrepancy external nodes,
+    laid out, and firings equal to the internal ones in discovery order."""
+    report, (_, internal, mapped, ext_out) = discrepancy_arguments(
+        monkeypatch, net, policy, initial, depth, bound)
+    assert report.isomorphic, report.first_discrepancy
     assert mapped == internal.nodes
     assert ext_out == internal.out
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_check_equivalence_random(seed):
+def test_check_equivalence_random(monkeypatch, seed):
     rng = random.Random(seed)
     net = random_net(rng, max_places=4, max_transitions=3)
     policy = random_policy(rng, net, max_consume=2, max_produce_total=2)
     init = random_state(rng, net)
-    report = check_equivalence(net, policy, init, 6, 12)
-    assert report.isomorphic, report.first_discrepancy
-    assert_same_discovery_order(net, policy, init, 6, 12)
+    assert_sound_in_one_order(monkeypatch, net, policy, init, 6, 12)
 
 
 @pytest.mark.parametrize("name, depth, bound", [
     ("ring6", 8, 12), ("loop", 10, 10), ("pump", 6, 127), ("pump", 6, 128)])
-def test_golden_equiv_inputs_are_found_in_one_order(name, depth, bound):
+def test_golden_equiv_inputs_are_found_in_one_order(monkeypatch, name, depth, bound):
     """A sound construction needs no set comparison on the golden inputs."""
     doc = parse_json((DATA / f"{name}.json").read_bytes())
     policy = doc.policy if doc.policy is not None else ManaPolicy.plain(doc.net)
     initial = ManaState(doc.marking or EMPTY, doc.pool or EMPTY)
-    assert_same_discovery_order(doc.net, policy, initial, depth, bound)
+    assert_sound_in_one_order(monkeypatch, doc.net, policy, initial, depth, bound)
 
 
 @pytest.mark.parametrize("seed", range(15))

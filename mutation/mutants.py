@@ -161,4 +161,91 @@ MUTANTS = [
         "kill": ["tests/test_execution.py::test_simulate_lex_and_seeded",
                  "tests/test_cli.py::test_golden_output[ring6-argv6]"],
     },
+    # -- the span fold ------------------------------------------------------
+    {
+        "name": "span fold: produce added before consume",
+        "file": "src/mananets/external.py",
+        "old": "        if c:\n"
+               "            total = consume.get(transition, 0) + c\n"
+               "            if total > COUNT_MAX:\n"
+               "                raise CountOverflowError(transition, total)\n"
+               "            consume[transition] = total\n"
+               "        for symbol, n in p._entries.items():\n"
+               "            total = produce.get(symbol, 0) + n\n"
+               "            if total > COUNT_MAX:\n"
+               "                raise CountOverflowError(symbol, total)\n"
+               "            produce[symbol] = total\n",
+        "new": "        for symbol, n in p._entries.items():\n"
+               "            total = produce.get(symbol, 0) + n\n"
+               "            if total > COUNT_MAX:\n"
+               "                raise CountOverflowError(symbol, total)\n"
+               "            produce[symbol] = total\n"
+               "        if c:\n"
+               "            total = consume.get(transition, 0) + c\n"
+               "            if total > COUNT_MAX:\n"
+               "                raise CountOverflowError(transition, total)\n"
+               "            consume[transition] = total\n",
+        "kill": ["tests/test_external.py::test_span_of_trace_raises_at_the_first_offending_step"
+                 "[consume-and-produce-past-bound]"],
+    },
+    {
+        "name": "span fold: gate lets bools through as counts",
+        "file": "src/mananets/external.py",
+        "old": "        if type(c) is not int or c < 0 or type(p) is not Multiset:\n",
+        "new": "        if not isinstance(c, int) or c < 0 or type(p) is not Multiset:\n",
+        "kill": ["tests/test_external.py::test_span_of_trace_raises_at_the_first_offending_step"
+                 "[bool-consume]"],
+    },
+    {
+        "name": "span fold: gate without the sign test",
+        "file": "src/mananets/external.py",
+        "old": "        if type(c) is not int or c < 0 or type(p) is not Multiset:\n",
+        "new": "        if type(c) is not int or type(p) is not Multiset:\n",
+        "kill": ["tests/test_external.py::test_span_of_trace_raises_at_the_first_offending_step"
+                 "[steps2-consume2-produce2-error2]"],
+    },
+    # -- the document boundary ----------------------------------------------
+    {
+        "name": "DSL: a zero pool count is accepted",
+        "file": "src/mananets/documents.py",
+        "old": "                if int(count[1]) == 0:\n"
+               "                    raise DocumentError(\"counts must be positive integers\",\n"
+               "                                        line=lineno, col=count[2])\n",
+        "new": "",
+        "kill": ["tests/test_documents.py::test_dsl_zero_pool_and_produce_counts_rejected[pool]",
+                 "tests/test_cli.py::test_zero_pool_or_produce_count_is_document_error"
+                 "[argv0-dsl-pool]"],
+    },
+    {
+        "name": "DSL: a zero produce count is accepted",
+        "file": "src/mananets/documents.py",
+        "old": "        if int(count[1]) == 0:\n"
+               "            raise DocumentError(\"counts must be positive integers\",\n"
+               "                                line=scanner.line, col=count[2])\n",
+        "new": "",
+        "kill": ["tests/test_documents.py::test_dsl_zero_pool_and_produce_counts_rejected[produce]",
+                 "tests/test_cli.py::test_zero_pool_or_produce_count_is_document_error"
+                 "[argv0-dsl-produce]"],
+    },
+    {
+        "name": "JSON: no bound on consume",
+        "file": "src/mananets/documents.py",
+        "old": "        if consume > COUNT_MAX:\n"
+               "            raise DocumentError(f\"'consume' exceeds the bound: {consume}\",\n"
+               "                                path=f\"{path}.consume\")\n",
+        "new": "",
+        "kill": ["tests/test_documents.py::"
+                 "test_consume_at_the_count_bound_allowed_and_above_rejected",
+                 "tests/test_cli.py::test_oversized_consume_is_document_error[argv4-json]"],
+    },
+    {
+        "name": "DSL: no bound on consume",
+        "file": "src/mananets/documents.py",
+        "old": "            if consume > COUNT_MAX:\n"
+               "                raise DocumentError(f\"'consume' exceeds the bound: {consume}\",\n"
+               "                                    line=lineno, col=count[2])\n",
+        "new": "",
+        "kill": ["tests/test_documents.py::test_dsl_consume_above_the_count_bound_rejected",
+                 "tests/test_cli.py::test_oversized_consume_is_document_error[argv4-dsl]"],
+    },
 ]

@@ -12,8 +12,9 @@ line-oriented chemist's shorthand::
     pool: u3=1
 
 Sides are ``+``-separated terms with optional positive coefficients; a
-bare ``0`` stands for the empty side. Blank lines and ``#`` comments are
-skipped.
+bare ``0`` stands for the empty side. Pool and produce counts are
+positive too; ``consume 0`` is allowed. Blank lines and ``#`` comments
+are skipped.
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ def _parse_produce(scanner: _Scanner) -> Multiset:
         name = scanner.expect("name")
         scanner.expect("sym", ":")
         count = scanner.expect("nat")
+        if int(count[1]) == 0:
+            raise DocumentError("counts must be positive integers",
+                                line=scanner.line, col=count[2])
         _add_count(counts, name[1], int(count[1]), scanner.line, count[2])
         token = scanner.peek()
         if token is not None and token[0] == "sym" and token[1] == ",":
@@ -372,6 +376,9 @@ def parse_reaction_dsl(text: str) -> NetDocument:
                 if name[1] in counts:
                     raise DocumentError(f"duplicate pool entry {name[1]!r}",
                                         line=lineno, col=name[2])
+                if int(count[1]) == 0:
+                    raise DocumentError("counts must be positive integers",
+                                        line=lineno, col=count[2])
                 _add_count(counts, name[1], int(count[1]), lineno, count[2])
                 pool_sites[name[1]] = (lineno, name[2])
             pool = Multiset(counts)

@@ -6,10 +6,11 @@ transition, and each execution acts on pools through an
 :class:`AffineSpan`: subtract the consumed multiset, add the produced
 one. Span composition is componentwise addition, so the span of a trace
 depends only on its occurrence multiset, how often each transition
-fires, and :func:`span_of_trace` computes it from those counts. The
-laxator that merges the pools of two states considered together is just
-the multiset sum; :func:`check_functor_laws` and
-:func:`check_laxator_naturality` verify these facts on sampled traces.
+fires; :func:`span_of_trace` computes it as one fold over the firing
+spans of its steps. The laxator that merges the pools of two states
+considered together is just the multiset sum; :func:`check_functor_laws`
+and :func:`check_laxator_naturality` verify these facts on sampled
+traces.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotManaEnabledError, UnknownSymbolError
-from .execution import (ReachGraph, TokenGame, Trace, _check_trace, enabled, fire,
-                        occurrence_counts)
+from .errors import CountOverflowError, NotManaEnabledError, UnknownSymbolError
+from .execution import ReachGraph, TokenGame, Trace, _check_trace, enabled, fire
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
@@ -88,55 +88,42 @@ def compose_spans(first: AffineSpan, second: AffineSpan) -> AffineSpan:
 def span_of_trace(policy: ManaPolicy, trace: Trace) -> AffineSpan:
     """The composite of the firing spans of a whole trace.
 
-    Spans compose by addition, so the result depends only on how often
-    each transition fires: ``k`` firings of ``t`` consume ``k * consume(t)``
-    units of ``t``'s mana and produce ``k * produce(t)``. A policy entry
-    that is missing or malformed, or a count past ``COUNT_MAX``, is
-    reported by composing step by step, so the error is the one the
-    first offending step raises.
+    Spans compose by addition, so ``k`` firings of ``t`` consume
+    ``k * consume(t)`` units of ``t``'s mana and produce
+    ``k * produce(t)``. The fold goes step by step, so a policy entry
+    that is missing or malformed, or a count past ``COUNT_MAX``, raises
+    what the first offending step raises.
     """
-    return _span(policy, occurrence_counts(trace.steps), trace.steps)
+    return _span_of_steps(policy, trace.steps)
 
 
-def _span(policy: ManaPolicy, occurrences: dict[str, int], steps) -> AffineSpan:
-    # The span of `steps`, whose occurrence counts are `occurrences`.
-    span = _span_of_counts(policy, occurrences)
-    return _span_by_steps(policy, steps) if span is None else span
-
-
-def _span_of_counts(policy: ManaPolicy, occurrences: dict[str, int]) -> AffineSpan | None:
-    """The span of any trace with these occurrence counts.
-
-    None when a policy entry is missing or malformed (consume not a plain
-    non-negative int, produce not a ``Multiset``) or a total passes
-    ``COUNT_MAX``; the caller then composes step by step. The counts are
-    only read.
-    """
+def _span_of_steps(policy: ManaPolicy, steps) -> AffineSpan:
+    # compose_spans over one span_of_transition per step, on two count
+    # dicts: each step adds its consume count, then its produce entries,
+    # in the order the Multiset sums meet them. An entry that is not a
+    # natural int with a Multiset produce goes through span_of_transition,
+    # which raises what the fold raises or accepts an int subclass.
     consume_of, produce_of = policy.consume, policy.produce
     consume: dict[str, int] = {}
     produce: dict[str, int] = {}
-    for transition, k in occurrences.items():
+    for transition in steps:
         c = consume_of.get(transition)
         p = produce_of.get(transition)
         if type(c) is not int or c < 0 or type(p) is not Multiset:
-            return None
+            span = span_of_transition(policy, transition)
+            c, p = span.consume[transition], span.produce
         if c:
-            consume[transition] = k * c
+            total = consume.get(transition, 0) + c
+            if total > COUNT_MAX:
+                raise CountOverflowError(transition, total)
+            consume[transition] = total
         for symbol, n in p._entries.items():
-            produce[symbol] = produce.get(symbol, 0) + k * n
-    if (max(consume.values(), default=0) > COUNT_MAX
-            or max(produce.values(), default=0) > COUNT_MAX):
-        return None
+            total = produce.get(symbol, 0) + n
+            if total > COUNT_MAX:
+                raise CountOverflowError(symbol, total)
+            produce[symbol] = total
     return AffineSpan(_wrap(consume) if consume else EMPTY,
                       _wrap(produce) if produce else EMPTY)
-
-
-def _span_by_steps(policy: ManaPolicy, steps) -> AffineSpan:
-    # Compose one firing span at a time; raises where a step goes wrong.
-    span = AffineSpan.identity()
-    for transition in steps:
-        span = compose_spans(span, span_of_transition(policy, transition))
-    return span
 
 
 def laxator(pool1: Multiset, pool2: Multiset) -> Multiset:
@@ -236,9 +223,11 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
 
     The empty trace must map to the identity span, and splitting any
     sampled trace at any point must compose back to the whole trace's
-    span. The span of the empty trace does not depend on its marking, so
-    the identity law is checked once, on the first sample's initial
-    marking, and passes when there are no samples.
+    span. Each cut folds the head ``steps[:cut]`` and the tail
+    ``steps[cut:]`` afresh, the same fold :func:`span_of_trace` runs. The
+    span of the empty trace does not depend on its marking, so the
+    identity law is checked once, on the first sample's initial marking,
+    and passes when there are no samples.
     """
     identity_witness = None
     if sample_traces:
@@ -252,20 +241,9 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
         steps = trace.steps
         whole = span_of_trace(policy, trace)
         _check_trace(trace)  # an invalid trace still raises NotEnabledError
-        # Occurrence counts of the head steps[:cut] and the tail
-        # steps[cut:], moved along one step per cut.
-        head: dict[str, int] = {}
-        tail = occurrence_counts(steps)
         for cut in range(len(steps) + 1):
-            if cut:
-                moved = steps[cut - 1]
-                head[moved] = head.get(moved, 0) + 1
-                if tail[moved] == 1:
-                    del tail[moved]
-                else:
-                    tail[moved] -= 1
-            glued = compose_spans(_span(policy, head, steps[:cut]),
-                                  _span(policy, tail, steps[cut:]))
+            glued = compose_spans(_span_of_steps(policy, steps[:cut]),
+                                  _span_of_steps(policy, steps[cut:]))
             if glued != whole:
                 composition_witness = {"sample": index, "cut": cut,
                                        "whole": _span_dict(whole),

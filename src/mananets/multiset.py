@@ -157,11 +157,6 @@ class Multiset:
 
     # -- restriction helpers -----------------------------------------------
 
-    def restrict(self, symbols: Iterable[str]) -> Multiset:
-        """Sub-multiset supported on the given symbols."""
-        keep = set(symbols)
-        return _wrap({s: c for s, c in self._entries.items() if s in keep})
-
     def drop(self, symbols: Iterable[str]) -> Multiset:
         """Sub-multiset supported outside the given symbols."""
         away = set(symbols)

@@ -356,6 +356,25 @@ def test_oversized_count_is_document_error_with_location(capsys, tmp_path, suffi
     assert err == f"mananets: count for {where}\n"
 
 
+@pytest.mark.parametrize("suffix, text, where", [
+    (".json", '{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, "pool": {"u": 0}}',
+     "at $.pool.u"),
+    (".json", '{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, '
+              '"mana": {"u": {"produce": {"u": 0}}}}',
+     "at $.mana.u.produce.u"),
+    (".crn", "u: 0 -> 0\npool: u=0\n", "at line 2, col 9"),
+    (".crn", "u: 0 -> 0 mana: consume 1, produce {u:0}\n", "at line 1, col 39"),
+], ids=["json-pool", "json-produce", "dsl-pool", "dsl-produce"])
+@pytest.mark.parametrize("argv", [["validate"], ["internalize"]])
+def test_zero_pool_or_produce_count_is_document_error(capsys, tmp_path, suffix, text,
+                                                      where, argv):
+    path = tmp_path / f"zero{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"mananets: counts must be positive integers {where}\n"
+
+
 def outcome(capsys, argv):
     try:
         code = main(list(argv))

@@ -294,6 +294,25 @@ def test_dsl_bare_zero_is_still_the_empty_side():
     assert doc.net.places == ("Z",)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("u: A -> B\npool: u=0", (2, 9)),
+    ("u: A -> B\npool: u=1 v=0", (2, 13)),
+    ("u: A -> B mana: consume 1, produce {u:0}", (1, 39)),
+    ("u: A -> B mana: consume 1, produce {u:1, u:0}", (1, 44)),
+], ids=["pool", "pool-second", "produce", "produce-second"])
+def test_dsl_zero_pool_and_produce_counts_rejected(text, where):
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl(text)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.message == "counts must be positive integers"
+
+
+def test_dsl_consume_zero_allowed():
+    doc = parse_reaction_dsl("u: A -> B mana: consume 0, produce {u:1}\npool: u=1")
+    assert doc.policy.consume["u"] == 0
+    assert doc.policy.produce["u"] == doc.pool == Multiset({"u": 1})
+
+
 def test_dsl_consume_above_the_count_bound_rejected():
     doc = parse_reaction_dsl(f"u: A -> B mana: consume {COUNT_MAX}")
     assert doc.policy.consume["u"] == COUNT_MAX

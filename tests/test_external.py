@@ -95,7 +95,7 @@ def test_span_decomposes_over_occurrences(seed):
         count * policy.produce[t] for t, count in occurrences.items())
 
 
-# -- one pass over occurrence counts against the step-by-step fold ----------
+# -- the count-dict fold against the fold of AffineSpans ---------------------
 
 
 def reference_span_of_trace(policy, trace):
@@ -146,6 +146,10 @@ def test_span_of_trace_matches_the_fold(policy_and_trace):
 HALF = COUNT_MAX // 2 + 1
 
 
+class Count(int):
+    """An int subclass: the fold's inline gate refuses it, span_of_transition accepts it."""
+
+
 @pytest.mark.parametrize("steps, consume, produce, error", [
     # the sum overflows at step 1, before the unknown step 2
     (("a", "a", "d"), {"a": HALF}, {}, (CountOverflowError, "a", 2 * HALF)),
@@ -153,6 +157,15 @@ HALF = COUNT_MAX // 2 + 1
     (("a", "b", "a"), {"a": 1, "b": -1}, {}, (ValueError, None, None)),
     (("a", "b", "a"), {"a": 1, "b": 0}, {"a": {"x": HALF}, "b": {"y": 1, "x": HALF}},
      (CountOverflowError, "x", 2 * HALF)),
+    # consume and produce pass the bound at the same step: consume comes first
+    pytest.param(("a", "a"), {"a": HALF}, {"a": {"x": HALF}},
+                 (CountOverflowError, "a", 2 * HALF), id="consume-and-produce-past-bound"),
+    pytest.param(("a",), {"a": True}, {}, (TypeError, None, None), id="bool-consume"),
+    pytest.param(("a", "a"), {"a": Count(2)}, {},
+                 ("ok", AffineSpan(Multiset({"a": 4}), EMPTY)), id="int-subclass-consume"),
+    # the bound itself is a count, so the first step is accepted
+    pytest.param(("a", "a"), {"a": COUNT_MAX}, {},
+                 (CountOverflowError, "a", 2 * COUNT_MAX), id="consume-at-bound-twice"),
 ])
 def test_span_of_trace_raises_at_the_first_offending_step(steps, consume, produce, error):
     policy = ManaPolicy(consume, {t: Multiset(produce.get(t, {})) for t in consume})
@@ -313,7 +326,7 @@ def test_functor_laws_on_empty_sample(abc_net, plain):
     assert report.ok
 
 
-# -- one prefix-count pass against the per-cut reference -------------------------
+# -- the law check against a per-cut reference --------------------------------
 
 
 def reference_check_functor_laws(net, policy, sample_traces):
@@ -359,30 +372,29 @@ def laws_outcome(check, net, policy, traces):
         return type(err), str(err)
 
 
-def overcounting_span(monkeypatch):
-    """span_of_trace, through the count body it shares with the prefix pass,
-    consumes one unit too many of every transition that fires twice or more."""
-    real = external._span_of_counts
+def overcounting_span(monkeypatch, policy):
+    """The span fold, which span_of_trace and every cut of the law check
+    run, consumes one unit too many of every transition that fires twice
+    or more."""
+    real = external._span_of_steps
 
-    def faulty(policy, occurrences):
-        span = real(policy, occurrences)
-        extra = {t: 1 for t, k in occurrences.items() if k >= 2}
-        if span is None or not extra:
-            return span
-        return AffineSpan(span.consume + Multiset(extra), span.produce)
+    def faulty(policy, steps):
+        span = real(policy, steps)
+        extra = {t: 1 for t in set(steps) if steps.count(t) >= 2}
+        return AffineSpan(span.consume + Multiset(extra), span.produce) if extra else span
 
-    monkeypatch.setattr(external, "_span_of_counts", faulty)
-
-
-def body_giving_up(monkeypatch):
-    """The count body gives up on every odd total, so the fold takes over."""
-    real = external._span_of_counts
-    monkeypatch.setattr(external, "_span_of_counts",
-                        lambda policy, occurrences: None if sum(occurrences.values()) % 2
-                        else real(policy, occurrences))
+    monkeypatch.setattr(external, "_span_of_steps", faulty)
+    return policy
 
 
-def produce_dropping_compose(monkeypatch):
+def every_consume_delegated(monkeypatch, policy):
+    """Every int consume count becomes a Count, so that every step of the
+    fold takes the fallback through span_of_transition."""
+    return ManaPolicy({t: Count(c) if type(c) is int else c for t, c in policy.consume.items()},
+                      policy.produce)
+
+
+def produce_dropping_compose(monkeypatch, policy):
     """compose_spans drops the second produce when both sides consume."""
     real = external.compose_spans
 
@@ -393,14 +405,11 @@ def produce_dropping_compose(monkeypatch):
         return glued
 
     monkeypatch.setattr(external, "compose_spans", faulty)
+    return policy
 
 
-SPAN_FAULTS = {"clean": None, "span": overcounting_span, "fallback": body_giving_up,
+SPAN_FAULTS = {"clean": None, "span": overcounting_span, "fallback": every_consume_delegated,
                "compose": produce_dropping_compose}
-
-
-class Count(int):
-    """An int subclass: the count body gives up on it, the fold accepts it."""
 
 
 @pytest.mark.parametrize("fault", sorted(SPAN_FAULTS))
@@ -410,13 +419,13 @@ def test_prefix_pass_matches_per_cut_reference(seed, fault, monkeypatch):
     net = random_net(rng)
     policy = random_policy(rng, net)
     if seed % 4 == 1 and net.transitions:
-        # an entry only the fold accepts, or one it rejects
+        # an entry the inline gate refuses: span_of_transition accepts or rejects it
         t = rng.choice(net.transitions)
         bad = Count(2) if seed % 8 == 1 else rng.choice([-1, True, COUNT_MAX])
         policy = ManaPolicy({**policy.consume, t: bad}, policy.produce)
     traces = [random_trace(rng, net, random_marking(rng, net, 4)) for _ in range(8)]
     if SPAN_FAULTS[fault] is not None:
-        SPAN_FAULTS[fault](monkeypatch)
+        policy = SPAN_FAULTS[fault](monkeypatch, policy)
     got = laws_outcome(check_functor_laws, net, policy, traces)
     assert got == laws_outcome(reference_check_functor_laws, net, policy, traces)
 
@@ -432,7 +441,7 @@ def test_faulty_spans_fail_the_same_cut(loop_net, loop_policy, monkeypatch):
     rng = random.Random(1)
     traces = [random_trace(rng, loop_net, random_marking(rng, loop_net, 5))
               for _ in range(20)]
-    overcounting_span(monkeypatch)
+    overcounting_span(monkeypatch, loop_policy)
     got = check_functor_laws(loop_net, loop_policy, traces).to_json_list()
     assert got == reference_check_functor_laws(loop_net, loop_policy, traces).to_json_list()
     assert got == [

@@ -92,10 +92,10 @@ def test_construction_never_touches_compound_layer(seed):
     rng = random.Random(seed)
     net = random_net(rng)
     mn = generalized_internal_construction(net, random_policy(rng, net))
-    base_places = set(net.places)
+    mana_places = mn.mana_places()
     for t in net.transitions:
-        assert mn.built.pre[t].restrict(base_places) == net.pre[t]
-        assert mn.built.post[t].restrict(base_places) == net.post[t]
+        assert mn.built.pre[t].drop(mana_places) == net.pre[t]
+        assert mn.built.post[t].drop(mana_places) == net.post[t]
         # plain mana partition: own place in pre only via consume
         for other in net.transitions:
             if other != t:

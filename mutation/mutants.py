@@ -19,24 +19,49 @@ MUTANTS = [
     {
         "name": "equivalence: external side handed over sorted, so the fast accept never fires",
         "file": "src/mananets/equivalence.py",
-        "old": "    discrepancy = _first_discrepancy(int_game, internal, mapped, ext.out)\n",
-        "new": "    order = sorted(range(len(mapped)), key=mapped.__getitem__)\n"
+        "old": "    discrepancy = _first_discrepancy(int_game, internal, ext.nodes, ext.out)\n",
+        "new": "    order = sorted(range(len(ext.nodes)), key=ext.nodes.__getitem__)\n"
                "    pos = {s: i for i, s in enumerate(order)}\n"
                "    out = [[(label, pos[d]) for label, d in ext.out[s]] for s in order]\n"
                "    discrepancy = _first_discrepancy(int_game, internal,"
-               " [mapped[s] for s in order], out)\n",
+               " [ext.nodes[s] for s in order], out)\n",
         "kill": ["tests/test_equivalence.py::test_check_equivalence_random[0]",
                  "tests/test_equivalence.py::test_golden_equiv_inputs_are_found_in_one_order"
                  "[ring6-8-12]"],
     },
     {
-        "name": "equivalence: layout runs merged when only the source side is adjacent",
+        "name": "equivalence: a marking symbol on a mana place merges with its pool",
         "file": "src/mananets/equivalence.py",
-        "old": "        if moves and moves[-1][0] == source + width"
-               " and moves[-1][2] == target + width:\n",
-        "new": "        if moves and moves[-1][0] == source + width:\n",
+        "old": "    if clashes:\n        raise NameClashError(min(clashes))\n",
+        "new": "",
+        "kill": ["tests/test_equivalence.py::"
+                 "test_state_to_object_refuses_a_marking_on_a_mana_place",
+                 "tests/test_kernel.py::test_marking_on_a_mana_place_name_is_refused[t0-free]"],
+    },
+    # -- the relabelled mana game ---------------------------------------------
+    {
+        "name": "relabel: pre indices left in the compiled order",
+        "file": "src/mananets/execution.py",
+        "old": "        game.steps = [(label, tuple(sorted((rank[i], c) for i, c in pre)),\n",
+        "new": "        game.steps = [(label, pre,\n",
+        "kill": ["tests/test_cli.py::test_golden_output[loop-argv4]",
+                 "tests/test_equivalence.py::test_check_equivalence_generalized"],
+    },
+    {
+        "name": "relabel: delta indices left in the compiled order",
+        "file": "src/mananets/execution.py",
+        "old": "                       tuple((rank[i], d) for i, d in delta), growth)\n",
+        "new": "                       delta, growth)\n",
         "kill": ["tests/test_cli.py::test_golden_output[ring6-argv1]",
                  "tests/test_equivalence.py::test_check_equivalence_generalized"],
+    },
+    {
+        "name": "relabel: symbols left in the external order",
+        "file": "src/mananets/execution.py",
+        "old": "        game.symbols = tuple(self.symbols[i] for i in order)\n",
+        "new": "",
+        "kill": ["tests/test_kernel.py::"
+                 "test_pool_overflow_after_relabelling_names_the_pool_symbol"],
     },
     # -- the graph writer -----------------------------------------------------
     {
@@ -247,5 +272,21 @@ MUTANTS = [
         "new": "",
         "kill": ["tests/test_documents.py::test_dsl_consume_above_the_count_bound_rejected",
                  "tests/test_cli.py::test_oversized_consume_is_document_error[argv4-dsl]"],
+    },
+    # -- the constructions ----------------------------------------------------
+    {
+        "name": "construction: a mana place may reuse an existing name",
+        "file": "src/mananets/internal.py",
+        "old": "        if name in taken:\n            raise NameClashError(name)\n",
+        "new": "",
+        "kill": ["tests/test_internal.py::test_name_clash_fails_fast"],
+    },
+    {
+        "name": "construction: the iterated layer is not freshened with outer-",
+        "file": "src/mananets/internal.py",
+        "old": "    while any(prefix + t in taken for t in built.transitions):\n"
+               "        prefix = \"outer-\" + prefix\n",
+        "new": "",
+        "kill": ["tests/test_internal.py::test_iterated_construction_freshens_names"],
     },
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeViolationError
+from .errors import NameClashError, ShapeViolationError
 from .execution import TokenGame, VectorGraph, explore
 from .external import ManaGame, ManaState
 from .internal import (ManaNet, ManaPolicy, generalized_internal_construction,
@@ -31,8 +31,13 @@ def state_to_object(mn: ManaNet, state: ManaState) -> Multiset:
     """Lay a state out as a built-net marking: pool tokens onto mana places.
 
     This is a monoid isomorphism onto markings of the built net; summing
-    two states componentwise corresponds to summing their images.
+    two states componentwise corresponds to summing their images. A
+    marking symbol that is one of the mana places would merge with a pool
+    there, so the least such symbol raises :class:`NameClashError`.
     """
+    clashes = mn.mana_places().intersection(state.marking.support())
+    if clashes:
+        raise NameClashError(min(clashes))
     return state.marking + lift_multiset_map(mn.mana_place_of, state.pool)
 
 
@@ -124,12 +129,15 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
                       depth_bound: int, token_bound: int) -> EquivalenceReport:
     """Compare mana reachability with plain reachability on the built net.
 
-    Both graphs are explored to the same bounds; the external one is then
-    mapped through :func:`state_to_object` and must match the internal
-    one node for node and edge for edge (labels included). Both sides run
-    on packed count vectors, and the map is a fixed one from external
-    coordinates to built-net coordinates: pool coordinate ``t`` goes to
-    the mana place of ``t``. Both sides are explored in the same step
+    Both graphs are explored to the same bounds, and the external one must
+    match the internal one through :func:`state_to_object`, node for node
+    and edge for edge (labels included). That map is fixed on generators
+    (a marking symbol to itself, pool ``t`` to the mana place of ``t``),
+    so it is applied once, to the steps of the compiled mana game, which
+    is :meth:`~mananets.execution.TokenGame.relabelled` into the built
+    net's coordinate order: its search yields built-net nodes. The root
+    is laid out first, so an error of :func:`state_to_object` comes
+    before any search. Both sides are explored in the same step
     order, so a sound construction finds the same nodes in the same order
     on each: the graphs are compared in that discovery order first, and
     as sets of packed nodes only when the orders differ. No side is
@@ -137,15 +145,17 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
-    ext = explore(ext_game, ext_game.vector(initial),
-                  depth_bound=depth_bound, token_bound=token_bound)
     root = state_to_object(mn, initial)
+    split = ext_game.split
+    laid_out = ext_game.relabelled([s if i < split else mn.mana_place_of[s]
+                                    for i, s in enumerate(ext_game.symbols)])
+    ext = explore(laid_out, laid_out.vector(initial),
+                  depth_bound=depth_bound, token_bound=token_bound)
     int_game = TokenGame(mn.built, root)
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
 
-    mapped = _laid_out(mn, ext_game, ext, int_game, internal)
-    discrepancy = _first_discrepancy(int_game, internal, mapped, ext.out)
+    discrepancy = _first_discrepancy(int_game, internal, ext.nodes, ext.out)
     return EquivalenceReport(
         isomorphic=discrepancy is None,
         ext_nodes=len(ext.nodes),
@@ -154,37 +164,6 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
         int_edges=len(internal.edges),
         first_discrepancy=discrepancy,
     )
-
-
-def _laid_out(mn: ManaNet, ext_game: ManaGame, ext: VectorGraph, int_game: TokenGame,
-              internal: VectorGraph) -> list[int]:
-    """The external nodes through :func:`state_to_object`, packed as built-net nodes.
-
-    Coordinates adjacent on both sides move as one bit field, so a node
-    usually takes two or three moves. A one-to-one map gives both roots
-    the same counts, hence the same width. A marking symbol named like a
-    mana place makes two external coordinates share one built-net place;
-    states are then mapped through :func:`state_to_object` itself.
-    """
-    split, width = ext_game.split, ext.width
-    targets = [int_game.position(symbol if i < split else mn.mana_place_of[symbol])
-               for i, symbol in enumerate(ext_game.symbols)]
-    if len(set(targets)) < len(targets) or internal.width != width:
-        return [internal.pack(int_game.vector(state_to_object(mn, ext_game.state(v))))
-                for v in ext.vectors(ext.nodes)]
-    field = (1 << width) - 1
-    moves: list = []  # (source shift, mask, target shift), low field last
-    for i, j in enumerate(targets):
-        source = width * (len(targets) - 1 - i)
-        target = width * (len(int_game.symbols) - 1 - j)
-        if moves and moves[-1][0] == source + width and moves[-1][2] == target + width:
-            moves[-1] = (source, moves[-1][1] << width | field, target)
-        else:
-            moves.append((source, field, target))
-    mapped = [0] * len(ext.nodes)
-    for source, mask, target in moves:
-        mapped = [y | (x >> source & mask) << target for x, y in zip(ext.nodes, mapped)]
-    return mapped
 
 
 def _first_discrepancy(game: TokenGame, internal: VectorGraph, ext_nodes: list,

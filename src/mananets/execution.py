@@ -13,7 +13,9 @@ changes it makes. The mana game of :mod:`mananets.external` appends the
 pool as a second segment of the same vector, so :func:`reach`,
 :func:`~mananets.external.mana_reach` and both sides of
 :func:`~mananets.equivalence.check_equivalence` share one kernel; a
-malformed arc raises when it is compiled, before any search.
+malformed arc raises when it is compiled, before any search. That check
+runs the mana game :meth:`~TokenGame.relabelled` into the built net's
+coordinate order, so both sides pack their states alike.
 
 :func:`explore` packs each state into one integer, one fixed-width field
 per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
@@ -28,12 +30,13 @@ out, since its subtraction would borrow across fields.
 unpacked into count tuples, all at once by :meth:`VectorGraph.vectors`,
 only where they leave the kernel: in :meth:`TokenGame.reach`, in
 :func:`~mananets.documents.emit_graph_json` and, for a discrepancy, in
-the equivalence check. That check compares the two graphs in discovery
-order first, and as sets of packed nodes only when the orders differ.
+the equivalence check, which compares the two graphs in discovery order
+first, and as sets of packed nodes only when the orders differ.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import struct
 from collections import deque
@@ -304,9 +307,29 @@ class TokenGame:
             if vector[i] + d > COUNT_MAX:
                 raise CountOverflowError(self.symbols[i], vector[i] + d)
 
-    def position(self, symbol: str) -> int:
-        """The coordinate of a marking symbol."""
-        return self._places[symbol]
+    def relabelled(self, names) -> TokenGame:
+        """This game with coordinate ``i`` moved to the rank of ``names[i]``.
+
+        The ranks are taken in sorted order of `names`, which must be
+        distinct. Steps keep their order and their changes keep theirs, and
+        each symbol moves with its coordinate, so :func:`explore` finds the
+        same nodes in the same order and raises the same overflow, naming
+        this game's symbol; :meth:`vector` lays states out in the new order.
+        The result is for those two only: :meth:`state` and
+        :func:`order_nodes` read the compiled order.
+        """
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        game = copy.copy(self)
+        game.symbols = tuple(self.symbols[i] for i in order)
+        game._places = {s: rank[i] for s, i in self._places.items()}
+        game._pool = {s: rank[i] for s, i in self._pool.items()}
+        game.steps = [(label, tuple(sorted((rank[i], c) for i, c in pre)),
+                       tuple((rank[i], d) for i, d in delta), growth)
+                      for label, pre, delta, growth in self.steps]
+        return game
 
     def _vector(self, marking: Multiset, pool: Multiset = EMPTY) -> tuple:
         counts = [0] * len(self.symbols)

@@ -138,29 +138,14 @@ def mana_enabled(net: Net, policy: ManaPolicy, state: ManaState, transition: str
     return span_of_transition(policy, transition).apply(state.pool) is not None
 
 
-def _mana_step(net: Net, policy: ManaPolicy, state: ManaState,
-               transition: str) -> ManaState | None:
-    """Try one firing under the policy: the next state, or None when blocked.
-
-    The checks run in the order of :func:`mana_enabled`, so a transition
-    the marking does not enable never consults the policy.
-    """
-    if not enabled(net, state.marking, transition):
-        return None
-    pool = span_of_transition(policy, transition).apply(state.pool)
-    if pool is None:
-        return None
-    return ManaState(fire(net, state.marking, transition), pool)
-
-
 def mana_fire(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> ManaState:
     """Fire under the policy, updating marking and pool atomically."""
-    nxt = _mana_step(net, policy, state, transition)
-    if nxt is None:
+    if not mana_enabled(net, policy, state, transition):
         compound_ok = enabled(net, state.marking, transition)
         mana_ok = span_of_transition(policy, transition).apply(state.pool) is not None
         raise NotManaEnabledError(transition, compound_ok, mana_ok)
-    return nxt
+    return ManaState(fire(net, state.marking, transition),
+                     span_of_transition(policy, transition).apply(state.pool))
 
 
 class ManaGame(TokenGame):
@@ -205,11 +190,11 @@ def mana_simulate(net: Net, policy: ManaPolicy, initial: ManaState, max_steps: i
     state = initial
     steps: list[str] = []
     for _ in range(max_steps):
-        moves = [(t, nxt) for t in labels
-                 if (nxt := _mana_step(net, policy, state, t)) is not None]
+        moves = [t for t in labels if mana_enabled(net, policy, state, t)]
         if not moves:
             break
-        choice, state = rng.choice(moves) if rng is not None else moves[0]
+        choice = rng.choice(moves) if rng is not None else moves[0]
+        state = mana_fire(net, policy, state, choice)
         steps.append(choice)
     return tuple(steps), state
 
@@ -271,8 +256,7 @@ def check_laxator_naturality(net: Net, policy: ManaPolicy,
     for index, (t1, t2, pool1, pool2) in enumerate(samples):
         span1 = span_of_trace(policy, t1)
         span2 = span_of_trace(policy, t2)
-        combined = Trace(net, t1.initial + t2.initial, t1.steps + t2.steps)
-        span12 = span_of_trace(policy, combined)
+        span12 = _span_of_steps(policy, t1.steps + t2.steps)
         witness = None
         if span12 != compose_spans(span1, span2):
             witness = {"sample": index,

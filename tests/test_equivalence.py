@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, Net,
-                      ShapeViolationError, check_equivalence, enabled,
+from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, NameClashError,
+                      Net, ShapeViolationError, check_equivalence, enabled,
                       externalize, internal_construction, internalize,
                       mana_enabled, mana_net_from_built, object_to_state,
                       state_to_object)
@@ -39,6 +39,18 @@ def test_state_to_object_examples(abc_net, ms):
         Multiset({"A": 1, "B": 1, "mana:u": 2})
     assert state_to_object(mn, ManaState(EMPTY, EMPTY)) == EMPTY
     assert state_to_object(mn, ManaState(ms(A=3), EMPTY)) == ms(A=3)
+
+
+def test_state_to_object_refuses_a_marking_on_a_mana_place(ms):
+    """Such a marking would merge with its pool, and the map would not be
+    one-to-one; the least clashing symbol is named."""
+    net = Net.build(["A"], {"u": ({"A": 1}, {}), "v": ({}, {"A": 1})})
+    mn = internalize(net, ManaPolicy.plain(net))
+    with pytest.raises(NameClashError) as err:
+        state_to_object(mn, ManaState(ms(A=1, **{"mana:v": 1, "mana:u": 2}), ms(u=1)))
+    assert err.value.name == "mana:u"
+    assert state_to_object(mn, ManaState(ms(A=1, **{"mana:w": 1}), ms(u=1))) == \
+        Multiset({"A": 1, "mana:u": 1, "mana:w": 1})
 
 
 @pytest.mark.parametrize("seed", range(10))

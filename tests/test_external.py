@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mananets import external
-from mananets import (EMPTY, AffineSpan, ManaPolicy, ManaState, Multiset,
+from mananets import (EMPTY, AffineSpan, ManaPolicy, ManaState, Multiset, Net,
                       NotManaEnabledError, Trace, check_functor_laws,
                       check_laxator_naturality, compose_spans, laxator,
                       mana_enabled, mana_fire, mana_reach, mana_simulate,
@@ -473,6 +473,17 @@ def test_laxator_naturality_empty_traces(abc_net, plain):
     empty = Trace(abc_net, EMPTY)
     report = check_laxator_naturality(abc_net, plain, [(empty, empty, EMPTY, EMPTY)])
     assert report.ok
+
+
+def test_laxator_naturality_does_not_add_the_initial_markings():
+    """Only the steps are combined: two markings whose sum passes
+    COUNT_MAX are never added, so the check does not overflow."""
+    net = Net.build(["a"], {"u": ({"a": 1}, {"a": 1})})
+    t1 = Trace(net, Multiset({"a": COUNT_MAX}), ("u",))
+    t2 = Trace(net, Multiset({"a": 1}), ("u", "u"))
+    pool = Multiset({"u": 2})
+    report = check_laxator_naturality(net, ManaPolicy.plain(net), [(t1, t2, pool, pool)])
+    assert report.ok, report.results
 
 
 def test_mana_reach_respects_pool(abc_net, plain, ms):

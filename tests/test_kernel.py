@@ -16,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, EquivalenceReport,
-                      ManaPolicy, ManaState, Multiset, Net, UnknownSymbolError,
-                      check_equivalence, graph_to_json_dict, internalize,
-                      mana_reach, reach, state_to_object)
+                      ManaPolicy, ManaState, Multiset, NameClashError, Net,
+                      UnknownSymbolError, check_equivalence, graph_to_json_dict,
+                      internalize, mana_reach, reach, state_to_object)
 from mananets.documents import emit_graph_json
 from mananets.execution import ReachGraph, TokenGame, explore, order_nodes
 from mananets.external import ManaGame, mana_enabled, mana_fire, span_of_transition
@@ -80,8 +80,9 @@ def ref_mana_reach(net, policy, initial, depth_bound, token_bound):
 
 def ref_check_equivalence(net, policy, initial, depth_bound, token_bound):
     mn = internalize(net, policy)
+    root = state_to_object(mn, initial)
     ext = ref_mana_reach(net, policy, initial, depth_bound, token_bound)
-    internal = ref_reach(mn.built, state_to_object(mn, initial), depth_bound, token_bound)
+    internal = ref_reach(mn.built, root, depth_bound, token_bound)
     mapped_nodes = {state_to_object(mn, s) for s in ext.nodes}
     mapped_edges = {(state_to_object(mn, s), label, state_to_object(mn, d))
                     for s, label, d in ext.edges}
@@ -276,13 +277,34 @@ def test_ordered_explore_matches_reference(data):
     assert outcome(lambda: ordered(build(), root, depth, bound)) == reference
 
 
-def test_marking_on_a_mana_place_name_merges_with_the_pool():
-    net = Net.build(["a"], {"t0": ({"a": 1}, {})})
+@pytest.mark.parametrize("pre", [{"a": 1}, {}], ids=["t0-needs-a", "t0-free"])
+def test_marking_on_a_mana_place_name_is_refused(pre):
+    """A marking symbol named like a mana place would merge with that pool.
+
+    With ``t0: {} -> {}`` the merged layout is not one-to-one: the mana
+    game sees one unit of t0's mana and the built net three, so the two
+    windows differ though the construction is sound. Both the check and
+    its reference refuse the state instead.
+    """
+    net = Net.build(["a"], {"t0": (pre, {})})
     policy = ManaPolicy.plain(net)
     initial = ManaState(Multiset({"a": 1, "mana:t0": 2}), Multiset({"t0": 1}))
-    report = check_equivalence(net, policy, initial, 3, 10)
-    assert report == ref_check_equivalence(net, policy, initial, 3, 10)
-    assert report.isomorphic and report.int_nodes == 2
+    for check in (check_equivalence, ref_check_equivalence):
+        with pytest.raises(NameClashError) as err:
+            check(net, policy, initial, 3, 10)
+        assert err.value.name == "mana:t0"
+
+
+def test_pool_overflow_after_relabelling_names_the_pool_symbol():
+    """Place z sorts after mana:u, so u's pool moves to coordinate 0."""
+    net = Net.build(["z"], {"u": ({}, {})})
+    policy = ManaPolicy({"u": 0}, {"u": Multiset({"u": 1})})
+    initial = ManaState(Multiset({"z": 1}), Multiset({"u": COUNT_MAX}))
+    with pytest.raises(CountOverflowError) as err:
+        check_equivalence(net, policy, initial, 3, 4 * COUNT_MAX)
+    assert err.value.symbol == "u"
+    assert outcome(check_equivalence, net, policy, initial, 3, 4 * COUNT_MAX) == \
+        outcome(ref_check_equivalence, net, policy, initial, 3, 4 * COUNT_MAX)
 
 
 def test_count_overflow_is_reported_with_its_symbol():

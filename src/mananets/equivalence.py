@@ -5,8 +5,10 @@ pool of a :class:`~mananets.external.ManaState` onto those places
 (:func:`state_to_object`) turns external states into built-net markings.
 :func:`check_equivalence` verifies that this translation is a
 label-preserving isomorphism between the two bounded reachability
-graphs, and :func:`externalize` recovers the policy back from a built
-net, inverting :func:`internalize` exactly.
+graphs: on generators, the two games' steps, where they agree, and on
+the two explored windows where they do not. :func:`externalize`
+recovers the policy back from a built net, inverting :func:`internalize`
+exactly.
 """
 
 from __future__ import annotations
@@ -129,80 +131,71 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
                       depth_bound: int, token_bound: int) -> EquivalenceReport:
     """Compare mana reachability with plain reachability on the built net.
 
-    Both graphs are explored to the same bounds, and the external one must
+    Both windows have the same bounds, and the external one must
     match the internal one through :func:`state_to_object`, node for node
     and edge for edge (labels included). That map is fixed on generators
     (a marking symbol to itself, pool ``t`` to the mana place of ``t``),
     so it is applied once, to the steps of the compiled mana game, which
     is :meth:`~mananets.execution.TokenGame.relabelled` into the built
-    net's coordinate order: its search yields built-net nodes. The root
-    is laid out first, so an error of :func:`state_to_object` comes
-    before any search. Both sides are explored in the same step
-    order, so a sound construction finds the same nodes in the same order
-    on each: the graphs are compared in that discovery order first, and
-    as sets of packed nodes only when the orders differ. No side is
-    sorted.
+    net's coordinate order. The root is laid out first, so an error of
+    :func:`state_to_object` comes before any search; then the external
+    game is explored. When its coordinates are the built net's and each
+    of its steps has the built net's label, ``pre`` and ``Δ`` (compared
+    as a set: the orders differ), the two are one vector game, whose
+    search from one root finds one graph under any bound, so the built
+    net is not explored. Otherwise it is, and the two windows are
+    compared by :func:`_first_discrepancy`.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
     root = state_to_object(mn, initial)
     split = ext_game.split
-    laid_out = ext_game.relabelled([s if i < split else mn.mana_place_of[s]
-                                    for i, s in enumerate(ext_game.symbols)])
+    names = [s if i < split else mn.mana_place_of[s] for i, s in enumerate(ext_game.symbols)]
+    laid_out = ext_game.relabelled(names)
     ext = explore(laid_out, laid_out.vector(initial),
                   depth_bound=depth_bound, token_bound=token_bound)
     int_game = TokenGame(mn.built, root)
+    symbols = tuple(sorted(names))
+    n, e = len(ext.nodes), len(ext.edges)
+    # Equal coordinates lay the root out alike, so the roots need no comparison.
+    if symbols == int_game.symbols and _generators(laid_out) == _generators(int_game):
+        return EquivalenceReport(True, n, n, e, e, None)
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
-
-    discrepancy = _first_discrepancy(int_game, internal, ext.nodes, ext.out)
-    return EquivalenceReport(
-        isomorphic=discrepancy is None,
-        ext_nodes=len(ext.nodes),
-        int_nodes=len(internal.nodes),
-        ext_edges=len(ext.edges),
-        int_edges=len(internal.edges),
-        first_discrepancy=discrepancy,
-    )
+    discrepancy = _first_discrepancy(_window(ext, symbols), _window(internal, int_game.symbols))
+    return EquivalenceReport(discrepancy is None, n, len(internal.nodes), e,
+                             len(internal.edges), discrepancy)
 
 
-def _first_discrepancy(game: TokenGame, internal: VectorGraph, ext_nodes: list,
-                       ext_out: list) -> dict | None:
-    """The least node, else the least edge, found on one side only.
+def _generators(game: TokenGame) -> list:
+    # A step's growth is the sum of its changes, so it needs no comparison.
+    return [(label, pre, set(delta)) for label, pre, delta, _ in game.steps]
 
-    `ext_nodes` are the external nodes already packed as built-net
-    nodes, in the external graph's order, so that the external firings
-    `ext_out` can refer to them by position. When both sides list the
-    same nodes and firings in the same discovery order, the graphs are
-    equal and nothing else is done. Otherwise both sides are compared as
-    sets, so neither needs to be sorted; only the nodes of a
-    discrepancy are unpacked.
+
+def _window(graph: VectorGraph, symbols) -> tuple[set, set]:
+    """The nodes of `graph`, coordinate ``r`` read as ``symbols[r]``, and its firings."""
+    nodes = [Multiset(zip(symbols, v)) for v in graph.vectors(graph.nodes)]
+    return set(nodes), {(nodes[s], label, nodes[d]) for s, label, d in graph.edges}
+
+
+def _first_discrepancy(ext: tuple[set, set], internal: tuple[set, set]) -> dict | None:
+    """The least node, else the least edge, found in one window only.
+
+    A window is the node set and the edge set of one side as built-net
+    states, each side read in its own coordinates by :func:`_window`, so
+    that a built net whose places are not the images of the mana game's
+    is still compared state by state. Only games that differ on
+    generators get here, so the plain comparison is enough.
     """
-    if ext_nodes == internal.nodes and ext_out == internal.out:
-        return None
-
-    def states(nodes: list) -> list[Multiset]:
-        return list(map(game.state, internal.vectors(nodes)))
-
-    ext_set = set(ext_nodes)
-    int_set = set(internal.nodes)
-    for side, extra in (("external-only", ext_set - int_set),
-                        ("internal-only", int_set - ext_set)):
+    (ext_nodes, ext_edges), (int_nodes, int_edges) = ext, internal
+    for side, extra in (("external-only", ext_nodes - int_nodes),
+                        ("internal-only", int_nodes - ext_nodes)):
         if extra:
-            first = min(states(list(extra)), key=Multiset.sort_key)
+            first = min(extra, key=Multiset.sort_key)
             return {"kind": "node", "side": side, "value": first.as_dict()}
-
-    position = {x: k for k, x in enumerate(internal.nodes)}
-    at = [position[x] for x in ext_nodes]
-    ext_arcs = {(at[s], label, at[d]) for s, pairs in enumerate(ext_out) for label, d in pairs}
-    int_arcs = {(s, label, d) for s, pairs in enumerate(internal.out) for label, d in pairs}
-    for side, extra in (("external-only", ext_arcs - int_arcs),
-                        ("internal-only", int_arcs - ext_arcs)):
+    for side, extra in (("external-only", ext_edges - int_edges),
+                        ("internal-only", int_edges - ext_edges)):
         if extra:
-            ends = list({k for s, _, d in extra for k in (s, d)})
-            state = dict(zip(ends, states([internal.nodes[k] for k in ends])))
-            first = min(((state[s], label, state[d]) for s, label, d in extra),
-                        key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
-            return {"kind": "edge", "side": side,
-                    "value": [first[0].as_dict(), first[1], first[2].as_dict()]}
+            s, label, d = min(extra, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
+            return {"kind": "edge", "side": side, "value": [s.as_dict(), label, d.as_dict()]}
     return None

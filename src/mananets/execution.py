@@ -15,7 +15,8 @@ pool as a second segment of the same vector, so :func:`reach`,
 :func:`~mananets.equivalence.check_equivalence` share one kernel; a
 malformed arc raises when it is compiled, before any search. That check
 runs the mana game :meth:`~TokenGame.relabelled` into the built net's
-coordinate order, so both sides pack their states alike.
+coordinate order, so both sides pack their states alike, and compares
+the two games' steps before it explores the built net at all.
 
 :func:`explore` packs each state into one integer, one fixed-width field
 per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
@@ -30,8 +31,8 @@ out, since its subtraction would borrow across fields.
 unpacked into count tuples, all at once by :meth:`VectorGraph.vectors`,
 only where they leave the kernel: in :meth:`TokenGame.reach`, in
 :func:`~mananets.documents.emit_graph_json` and, for a discrepancy, in
-the equivalence check, which compares the two graphs in discovery order
-first, and as sets of packed nodes only when the orders differ.
+the equivalence check, which explores the built net and compares the
+two windows only when the games differ on their steps.
 """
 
 from __future__ import annotations
@@ -314,9 +315,10 @@ class TokenGame:
         distinct. Steps keep their order and their changes keep theirs, and
         each symbol moves with its coordinate, so :func:`explore` finds the
         same nodes in the same order and raises the same overflow, naming
-        this game's symbol; :meth:`vector` lays states out in the new order.
-        The result is for those two only: :meth:`state` and
-        :func:`order_nodes` read the compiled order.
+        this game's symbol; :meth:`vector` lays states out in the new order,
+        in which :attr:`steps` compare with another game's, and
+        :attr:`symbols` holds this game's names at their new ranks.
+        :meth:`state` and :func:`order_nodes` read the compiled order.
         """
         order = sorted(range(len(names)), key=names.__getitem__)
         rank = [0] * len(order)

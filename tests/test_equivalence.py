@@ -3,14 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from mananets import (EMPTY, ManaNet, ManaPolicy, ManaState, Multiset, NameClashError,
-                      Net, ShapeViolationError, check_equivalence, enabled,
+from mananets import (EMPTY, EquivalenceReport, ManaNet, ManaPolicy, ManaState, Multiset,
+                      NameClashError, Net, ShapeViolationError, check_equivalence, enabled,
                       externalize, internal_construction, internalize,
                       mana_enabled, mana_net_from_built, object_to_state,
                       state_to_object)
 from mananets import equivalence
 from mananets.documents import parse_json
-from mananets.execution import VectorGraph
+from mananets.execution import TokenGame, VectorGraph, explore
+from mananets.external import ManaGame
 from mananets.sampling import random_net, random_policy, random_state
 
 DATA = Path(__file__).parent / "data"
@@ -220,25 +221,34 @@ def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
         "value": [{"A": 1, "mana:u": 1}, "u", {"A": 1, "mana:u": 1}]}
 
 
-def discrepancy_arguments(monkeypatch, net, policy, initial, depth, bound):
-    """Run check_equivalence: its report and the arguments it handed _first_discrepancy."""
-    real = equivalence._first_discrepancy
-    calls = []
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(equivalence, "_first_discrepancy", recording)
-    report = check_equivalence(net, policy, initial, depth, bound)
-    (args,) = calls
-    return report, args
+def explored_window(game, root, depth, bound, lay_out=lambda state: state):
+    """Explore `game` from `root`: its graph, and its window of built-net states."""
+    graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
+    states = [lay_out(game.state(v)) for v in graph.vectors(graph.nodes)]
+    return graph, (set(states), {(states[s], label, states[d]) for s, label, d in graph.edges})
 
 
-def test_a_renumbered_graph_is_equal_as_sets(monkeypatch, loop_net, loop_policy, ms):
-    """Discovery order is not part of the verdict: the set comparison decides."""
-    _, (game, internal, mapped, ext_out) = discrepancy_arguments(
-        monkeypatch, loop_net, loop_policy, ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1)), 8, 14)
+def two_window_report(net, policy, initial, depth, bound):
+    """Explore both sides and compare the two windows, with no decision on generators."""
+    mn = internalize(net, policy)
+    root = state_to_object(mn, initial)
+    ext, ext_window = explored_window(ManaGame(net, policy, initial), initial, depth, bound,
+                                      lambda state: state_to_object(mn, state))
+    internal, int_window = explored_window(TokenGame(mn.built, root), root, depth, bound)
+    discrepancy = equivalence._first_discrepancy(ext_window, int_window)
+    return EquivalenceReport(discrepancy is None, len(ext.nodes), len(internal.nodes),
+                             len(ext.edges), len(internal.edges), discrepancy)
+
+
+def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
+    """Discovery order is not part of the verdict: the window comparison decides."""
+    initial = ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1))
+    mn = internalize(loop_net, loop_policy)
+    root = state_to_object(mn, initial)
+    game = TokenGame(mn.built, root)
+    _, ext_window = explored_window(ManaGame(loop_net, loop_policy, initial), initial, 8, 14,
+                                    lambda state: state_to_object(mn, state))
+    internal = explore(game, game.vector(root), depth_bound=8, token_bound=14)
     count = len(internal.nodes)
     assert count > 2
     new = [0] + list(range(count - 1, 0, -1))  # the root stays first
@@ -249,18 +259,26 @@ def test_a_renumbered_graph_is_equal_as_sets(monkeypatch, loop_net, loop_policy,
         out[new[s]] = [(label, new[d]) for label, d in internal.out[s]]
     renumbered = VectorGraph(nodes, out, internal.truncated, internal.width,
                              len(game.symbols))
-    assert renumbered.nodes != mapped
-    assert equivalence._first_discrepancy(game, renumbered, mapped, ext_out) is None
+    assert renumbered.nodes != internal.nodes
+    window = equivalence._window(renumbered, game.symbols)
+    assert equivalence._first_discrepancy(ext_window, window) is None
+    assert equivalence._first_discrepancy(window, ext_window) is None
 
 
-def assert_sound_in_one_order(monkeypatch, net, policy, initial, depth, bound):
-    """check_equivalence accepts, and hands _first_discrepancy external nodes,
-    laid out, and firings equal to the internal ones in discovery order."""
-    report, (_, internal, mapped, ext_out) = discrepancy_arguments(
-        monkeypatch, net, policy, initial, depth, bound)
+def assert_decided_on_generators(monkeypatch, net, policy, initial, depth, bound):
+    """check_equivalence accepts a sound construction after one exploration,
+    with the report that exploring both sides and comparing the windows gives."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "explore", counting)
+    report = check_equivalence(net, policy, initial, depth, bound)
     assert report.isomorphic, report.first_discrepancy
-    assert mapped == internal.nodes
-    assert ext_out == internal.out
+    assert len(calls) == 1
+    assert report == two_window_report(net, policy, initial, depth, bound)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -269,17 +287,17 @@ def test_check_equivalence_random(monkeypatch, seed):
     net = random_net(rng, max_places=4, max_transitions=3)
     policy = random_policy(rng, net, max_consume=2, max_produce_total=2)
     init = random_state(rng, net)
-    assert_sound_in_one_order(monkeypatch, net, policy, init, 6, 12)
+    assert_decided_on_generators(monkeypatch, net, policy, init, 6, 12)
 
 
 @pytest.mark.parametrize("name, depth, bound", [
     ("ring6", 8, 12), ("loop", 10, 10), ("pump", 6, 127), ("pump", 6, 128)])
 def test_golden_equiv_inputs_are_found_in_one_order(monkeypatch, name, depth, bound):
-    """A sound construction needs no set comparison on the golden inputs."""
+    """A sound construction needs no search of the built net on the golden inputs."""
     doc = parse_json((DATA / f"{name}.json").read_bytes())
     policy = doc.policy if doc.policy is not None else ManaPolicy.plain(doc.net)
     initial = ManaState(doc.marking or EMPTY, doc.pool or EMPTY)
-    assert_sound_in_one_order(monkeypatch, doc.net, policy, initial, depth, bound)
+    assert_decided_on_generators(monkeypatch, doc.net, policy, initial, depth, bound)
 
 
 @pytest.mark.parametrize("seed", range(15))

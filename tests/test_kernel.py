@@ -10,18 +10,21 @@ error.
 """
 
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, EquivalenceReport,
-                      ManaPolicy, ManaState, Multiset, NameClashError, Net,
+                      ManaNet, ManaPolicy, ManaState, Multiset, NameClashError, Net,
                       UnknownSymbolError, check_equivalence, graph_to_json_dict,
                       internalize, mana_reach, reach, state_to_object)
+from mananets import equivalence
 from mananets.documents import emit_graph_json
 from mananets.execution import ReachGraph, TokenGame, explore, order_nodes
 from mananets.external import ManaGame, mana_enabled, mana_fire, span_of_transition
+from mananets.net import lift_multiset_map
 
 # -- the reference -------------------------------------------------------------
 
@@ -230,6 +233,151 @@ def test_check_equivalence_matches_reference(data):
     depth, bound = data.draw(bounds)
     assert outcome(check_equivalence, net, policy, initial, depth, bound) == \
         outcome(ref_check_equivalence, net, policy, initial, depth, bound)
+
+
+# -- faulty constructions --------------------------------------------------------
+#
+# Each fault rebuilds the built net of a sound ManaNet around transition
+# `t` and, where it needs a second one, `w` (which may be `t`). The check
+# and its reference must still agree on the verdict, the counts and the
+# first discrepancy.
+
+
+def rebuilt(mn, places=None, pre=None, post=None):
+    b = mn.built
+    built = Net(b.places if places is None else places, b.transitions,
+                b.pre if pre is None else pre, b.post if post is None else post)
+    return ManaNet(mn.base, built, mn.mana_place_of, mn.policy)
+
+
+def drop_first_produce(mn, t, w):
+    produce = mn.policy.produce[t]
+    if not produce:
+        return mn
+    first = mn.mana_place_of[produce.support()[0]]
+    return rebuilt(mn, post=dict(mn.built.post, **{t: mn.built.post[t].drop([first])}))
+
+
+def consume_one_more(mn, t, w):
+    more = Multiset({mn.mana_place_of[t]: 1})
+    return rebuilt(mn, pre=dict(mn.built.pre, **{t: mn.built.pre[t] + more}))
+
+
+def one_more_held(mn, t, w):
+    """`t` needs one more unit of its mana and gives it back: only `pre` changes."""
+    more = Multiset({mn.mana_place_of[t]: 1})
+    return rebuilt(mn, pre=dict(mn.built.pre, **{t: mn.built.pre[t] + more}),
+                   post=dict(mn.built.post, **{t: mn.built.post[t] + more}))
+
+
+def produce_doubled(mn, t, w):
+    again = lift_multiset_map(mn.mana_place_of, mn.policy.produce[t])
+    return rebuilt(mn, post=dict(mn.built.post, **{t: mn.built.post[t] + again}))
+
+
+def consume_moved(mn, t, w):
+    own, other = mn.mana_place_of[t], mn.mana_place_of[w]
+    pre = mn.built.pre[t]
+    moved = pre.drop([own]) + Multiset({other: pre[own]})
+    return rebuilt(mn, pre=dict(mn.built.pre, **{t: moved}))
+
+
+def extra_post_place(name):
+    def fault(mn, t, w):
+        post = dict(mn.built.post, **{t: mn.built.post[t] + Multiset({name: 1})})
+        return rebuilt(mn, places=mn.built.places + (name,), post=post)
+    return fault
+
+
+def renamed(old, new):
+    """The built net with the place or transition `old` called `new` throughout."""
+    def name(s):
+        return new if s == old else s
+
+    def fault(mn, t, w):
+        b = mn.built
+        pre, post = ({name(u): Multiset({name(s): c for s, c in m.items()})
+                      for u, m in side.items()} for side in (b.pre, b.post))
+        built = Net(tuple(map(name, b.places)), tuple(map(name, b.transitions)), pre, post)
+        return ManaNet(mn.base, built, mn.mana_place_of, mn.policy)
+    return fault
+
+
+FAULTS = {
+    "first-produce-dropped": drop_first_produce,
+    "consume-plus-one": consume_one_more,
+    "one-more-held": one_more_held,
+    "produce-doubled": produce_doubled,
+    "consume-moved-to-another-pool": consume_moved,
+    "extra-post-place-first": extra_post_place("0extra"),
+    "extra-post-place-last": extra_post_place("zextra"),
+    "place-renamed": lambda mn, t, w: renamed(mn.base.places[0], "a'")(mn, t, w),
+    "transition-renamed": lambda mn, t, w: renamed(t, t + "'")(mn, t, w),
+}
+
+
+def faulty(fault, t, w):
+    """A construction, built as the sound one and then broken by `fault`."""
+    sound = equivalence.generalized_internal_construction
+    return mock.patch.object(equivalence, "generalized_internal_construction",
+                             lambda net, policy: fault(sound(net, policy), t, w))
+
+
+@st.composite
+def small_cases(draw):
+    """A net, a policy, a state and bounds, all small, so that most faults
+    show within the window; the sound property above draws the errors and
+    the counts near ``COUNT_MAX``."""
+    places = draw(st.lists(st.sampled_from(PLACES), min_size=1, unique=True))
+    names = draw(st.lists(st.sampled_from(TRANSITIONS), min_size=1, unique=True))
+    net = Net(tuple(places), tuple(names), {t: draw(multisets(places)) for t in names},
+              {t: draw(arcs(places)) for t in names})
+    initial = ManaState(draw(multisets(places, st.integers(1, 3), min_size=1)),
+                        draw(multisets(names, st.integers(1, 3), min_size=1)))
+    return (net, draw(policies(net)), initial, draw(st.integers(1, 5)),
+            initial.size() + draw(st.integers(0, 8)))
+
+
+@st.composite
+def any_cases(draw):
+    net = draw(nets(stray_arcs=draw(st.booleans())))
+    assume(net.transitions)
+    initial = ManaState(draw(markings), draw(pools(net)))
+    return (net, draw(policies(net)), initial, *draw(bounds))
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@settings(SETTINGS, max_examples=50)
+@given(st.one_of(small_cases(), any_cases()), st.data())
+def test_check_equivalence_matches_reference_on_a_faulty_construction(fault, case, data):
+    net, policy, initial, depth, bound = case
+    t, w = (data.draw(st.sampled_from(net.transitions)) for _ in range(2))
+    with faulty(FAULTS[fault], t, w):
+        assert outcome(check_equivalence, *case) == outcome(ref_check_equivalence, *case)
+
+
+TWO_WAY = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1}), "v": ({"B": 1}, {"A": 1})})
+
+
+@pytest.mark.parametrize("fault, isomorphic", [
+    # A place outside the mana game, which sorts after every other one
+    # or before: each side must be read in its own coordinates.
+    (extra_post_place("zextra"), False),
+    (extra_post_place("0extra"), False),
+    # Steps equal coordinate by coordinate; only the names differ.
+    (renamed("B", "B'"), False),
+    (renamed("u", "u'"), False),
+    # A place no arc touches: the coordinates differ, the windows do not.
+    (lambda mn, t, w: rebuilt(mn, places=mn.built.places + ("zextra",)), True),
+], ids=["extra-place-last", "extra-place-first", "place-renamed", "transition-renamed",
+        "isolated-place-last"])
+def test_a_faulty_built_net_is_judged_as_the_reference_judges_it(fault, isomorphic):
+    policy = ManaPolicy.plain(TWO_WAY)
+    initial = ManaState(Multiset({"A": 1}), Multiset({"u": 1, "v": 1}))
+    with faulty(fault, "u", "v"):
+        report = check_equivalence(TWO_WAY, policy, initial, 4, 10)
+        assert report == ref_check_equivalence(TWO_WAY, policy, initial, 4, 10)
+    assert report.isomorphic is isomorphic
 
 
 def game_and_root(data, net, initial):

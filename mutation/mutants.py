@@ -174,7 +174,7 @@ MUTANTS = [
         "kill": ["tests/test_cli.py::test_golden_output[loop-argv3]",
                  "tests/test_cli.py::test_golden_output[pump-argv8]"],
     },
-    # -- the count-dict walks -------------------------------------------------
+    # -- the count-dict walk --------------------------------------------------
     {
         "name": "walk: a pre check that lets a count go one below zero",
         "file": "src/mananets/execution.py",
@@ -208,13 +208,30 @@ MUTANTS = [
                "            counts[symbol] = total\n\n\ndef run_trace",
         "kill": ["tests/test_execution.py::test_check_only_walk_names_each_error_as_replay_does"],
     },
+    # -- the compiled walk ----------------------------------------------------
     {
-        "name": "simulate: a pre check that lets a count go one below zero",
+        "name": "walk on steps: enabled with one token short",
         "file": "src/mananets/execution.py",
-        "old": "                if counts.get(symbol, 0) < need:\n",
-        "new": "                if counts.get(symbol, 0) < need - 1:\n",
+        "old": "                    if counts[i] < need:\n",
+        "new": "                    if counts[i] < need - 1:\n",
         "kill": ["tests/test_execution.py::test_simulate_lex_and_seeded",
-                 "tests/test_cli.py::test_golden_output[ring6-argv6]"],
+                 "tests/test_cli.py::test_golden_output[ring6-argv12]"],
+    },
+    {
+        "name": "walk on steps: a size gate that never checks overflow",
+        "file": "src/mananets/execution.py",
+        "old": "            if size > COUNT_MAX:\n                self.check_overflow(counts, delta)\n",
+        "new": "            if size < 0:\n                self.check_overflow(counts, delta)\n",
+        "kill": ["tests/test_execution.py::test_simulate_names_the_first_overflowing_post_symbol",
+                 "tests/test_external.py::test_mana_simulate_names_the_pool_overflow_first"],
+    },
+    {
+        "name": "walk on steps: the last enabled step fired, not the first",
+        "file": "src/mananets/execution.py",
+        "old": "moves[0] if rng is None",
+        "new": "moves[-1] if rng is None",
+        "kill": ["tests/test_cli.py::test_golden_output[ring6-argv12]",
+                 "tests/test_cli.py::test_golden_output[loop-argv13]"],
     },
     # -- the span fold ------------------------------------------------------
     {

@@ -6,14 +6,16 @@ stands for one execution of the net; two traces that differ only in the
 order of independent firings describe the same execution, which is what
 :func:`trace_equivalent` decides, within a budget on the size of a class.
 
-Bounded reachability runs on the net compiled once into its incidence
-form (a :class:`TokenGame`): every symbol that can occur gets a
-coordinate, and every transition becomes the counts it needs and the
-changes it makes. The mana game of :mod:`mananets.external` appends the
-pool as a second segment of the same vector, so :func:`reach`,
+Bounded reachability and random walks run on the net compiled once into
+its incidence form (a :class:`TokenGame`): every symbol that can occur
+gets a coordinate, and every transition becomes the counts it needs and
+the changes it makes. The mana game of :mod:`mananets.external` appends
+the pool as a second segment of the same vector, so :func:`reach`,
 :func:`~mananets.external.mana_reach` and both sides of
-:func:`~mananets.equivalence.check_equivalence` share one kernel; a
-malformed arc raises when it is compiled, before any search. That check
+:func:`~mananets.equivalence.check_equivalence` share one kernel, and
+:func:`simulate` and :func:`~mananets.external.mana_simulate` its
+:meth:`~TokenGame.walk`; a malformed arc raises when it is compiled,
+before any search or firing. That check
 runs the mana game :meth:`~TokenGame.relabelled` into the built net's
 coordinate order, so both sides pack their states alike, and compares
 the two games' steps before it explores the built net at all.
@@ -115,9 +117,9 @@ def replay(trace: Trace) -> list[Multiset]:
 
 def _check_trace(trace: Trace) -> None:
     """Raise what :func:`replay` raises on `trace`, building no marking."""
-    # Fires on a count dict as simulate does (keep both loops and
-    # TokenGame.check_overflow in step): post is added in the order
-    # Multiset.__add__ meets it, so an overflow names the same symbol.
+    # Fires on a count dict: most traces checked here have one step on a
+    # net seen once, where a compiled game would cost ten walks. Post is
+    # added in Multiset.__add__ order, so an overflow names replay's symbol.
     counts = dict(trace.initial._entries)
     arcs = trace.net.arcs
     for index, transition in enumerate(trace.steps):
@@ -351,6 +353,32 @@ class TokenGame:
     def state(self, vector) -> Multiset:
         return self._multiset(vector, 0, self.split)
 
+    def walk(self, counts: list, max_steps: int, rng: random.Random | None = None) -> list:
+        """Fire up to `max_steps` steps on the list `counts`, in place; return their labels.
+
+        Each firing takes the first enabled step in label order, or ``rng.choice`` of them,
+        until none is enabled; overflow is checked as in :func:`explore`, by the size gate.
+        """
+        size, fired = sum(counts), []
+        for _ in range(max_steps):
+            moves = []
+            for step in self.steps:
+                for i, need in step[1]:
+                    if counts[i] < need:
+                        break
+                else:
+                    moves.append(step)
+            if not moves:
+                break
+            label, _, delta, growth = moves[0] if rng is None else rng.choice(moves)
+            size += growth
+            if size > COUNT_MAX:
+                self.check_overflow(counts, delta)
+            for i, d in delta:
+                counts[i] += d
+            fired.append(label)
+        return fired
+
     def reach(self, root, depth_bound: int, token_bound: int) -> ReachGraph:
         """Explore from the `root` state and sort; each node becomes an API value once."""
         graph = explore(self, self.vector(root),
@@ -541,34 +569,15 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
 
     The enabled transition with the lexicographically smallest name is
     chosen unless an `rng` is supplied, in which case the choice is drawn
-    from it (reproducibly, given a seeded Random).
+    from it (reproducibly, given a seeded Random). The net's plain game is
+    compiled at the first call and kept on the ``Net``, outside its fields.
     """
-    labels = sorted(net.transitions)
-    pre = net.pre
-    # The marking as a count dict that may hold zeros; each firing takes
-    # its pre, then adds its post in the order Multiset.__add__ meets it,
-    # so an overflow names the symbol that fire would (keep this loop,
-    # the one in _check_trace and TokenGame.check_overflow in step).
-    counts = dict(initial._entries)
-    steps: list[str] = []
-    for _ in range(max_steps):
-        candidates = []
-        for t in labels:
-            for symbol, need in pre[t]._entries.items():
-                if counts.get(symbol, 0) < need:
-                    break
-            else:
-                candidates.append(t)
-        if not candidates:
-            break
-        choice = rng.choice(candidates) if rng is not None else candidates[0]
-        taken, given = net.arcs(choice)
-        for symbol, need in taken._entries.items():
-            counts[symbol] -= need
-        for symbol, count in given._entries.items():
-            total = counts.get(symbol, 0) + count
-            if total > COUNT_MAX:
-                raise CountOverflowError(symbol, total)
-            counts[symbol] = total
-        steps.append(choice)
-    return _trace(net, initial, tuple(steps))
+    game = net.__dict__.get("_plain_game")
+    if game is None:
+        game = net.__dict__["_plain_game"] = TokenGame(net, EMPTY)
+    coordinate = game._places
+    counts = [0] * len(game.symbols)
+    for symbol, count in initial._entries.items():
+        if symbol in coordinate:
+            counts[coordinate[symbol]] = count
+    return _trace(net, initial, tuple(game.walk(counts, max_steps, rng)))

@@ -133,19 +133,17 @@ def laxator(pool1: Multiset, pool2: Multiset) -> Multiset:
 
 def mana_enabled(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> bool:
     """Enabled on the token side and coverable on the pool side."""
-    if not enabled(net, state.marking, transition):
-        return False
-    return span_of_transition(policy, transition).apply(state.pool) is not None
+    return (enabled(net, state.marking, transition)
+            and span_of_transition(policy, transition).apply(state.pool) is not None)
 
 
 def mana_fire(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> ManaState:
     """Fire under the policy, updating marking and pool atomically."""
-    if not mana_enabled(net, policy, state, transition):
-        compound_ok = enabled(net, state.marking, transition)
-        mana_ok = span_of_transition(policy, transition).apply(state.pool) is not None
-        raise NotManaEnabledError(transition, compound_ok, mana_ok)
-    return ManaState(fire(net, state.marking, transition),
-                     span_of_transition(policy, transition).apply(state.pool))
+    compound_ok = enabled(net, state.marking, transition)
+    pool = span_of_transition(policy, transition).apply(state.pool)
+    if not compound_ok or pool is None:
+        raise NotManaEnabledError(transition, compound_ok, pool is not None)
+    return ManaState(fire(net, state.marking, transition), pool)
 
 
 class ManaGame(TokenGame):
@@ -186,17 +184,9 @@ def mana_reach(net: Net, policy: ManaPolicy, initial: ManaState,
 def mana_simulate(net: Net, policy: ManaPolicy, initial: ManaState, max_steps: int,
                   rng: random.Random | None = None) -> tuple[tuple[str, ...], ManaState]:
     """Fire up to `max_steps` mana-enabled transitions; lex order unless seeded."""
-    labels = sorted(net.transitions)
-    state = initial
-    steps: list[str] = []
-    for _ in range(max_steps):
-        moves = [t for t in labels if mana_enabled(net, policy, state, t)]
-        if not moves:
-            break
-        choice = rng.choice(moves) if rng is not None else moves[0]
-        state = mana_fire(net, policy, state, choice)
-        steps.append(choice)
-    return tuple(steps), state
+    game = ManaGame(net, policy, initial)
+    counts = list(game.vector(initial))
+    return tuple(game.walk(counts, max_steps, rng)), game.state(counts)
 
 
 # -- law checks -------------------------------------------------------------

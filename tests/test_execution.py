@@ -383,11 +383,36 @@ def simulation_nets(draw):
                {t: draw(sim_multisets) for t in names})
 
 
-@given(simulation_nets(), sim_multisets, st.integers(0, 8),
+#: Initial markings may hold X, a symbol outside every net, which is inert.
+sim_markings = st.lists(st.tuples(st.sampled_from("XDCBA"), sim_counts),
+                        unique_by=lambda pair: pair[0], max_size=3).map(Multiset)
+
+
+@given(simulation_nets(), sim_markings, st.integers(0, 8),
        st.one_of(st.none(), st.integers(0, 2**32)))
 def test_simulate_matches_multiset_walk(net, initial, max_steps, seed):
     got = simulate_outcome(simulate, net, initial, max_steps, seed)
     assert got == simulate_outcome(reference_simulate, net, initial, max_steps, seed)
+
+
+def test_simulate_compiles_each_net_once(monkeypatch, pipeline_net, ms):
+    compiled = []
+    compile_game = execution.TokenGame._compile
+
+    def counting(game, *layout):
+        compiled.append(game.net)
+        compile_game(game, *layout)
+
+    monkeypatch.setattr(execution.TokenGame, "_compile", counting)
+    text = repr(pipeline_net)
+    for seed in range(25):
+        simulate(pipeline_net, ms(p1=1, p2=1), 5, random.Random(seed))
+    assert len(compiled) == 1 and compiled[0] is pipeline_net
+    twin = Net(pipeline_net.places, pipeline_net.transitions, pipeline_net.pre,
+               pipeline_net.post)
+    assert simulate(twin, ms(p1=1, p2=1), 5) == simulate(pipeline_net, ms(p1=1, p2=1), 5)
+    assert len(compiled) == 2 and compiled[1] is twin
+    assert twin == pipeline_net and repr(pipeline_net) == repr(twin) == text
 
 
 def test_simulate_names_the_first_overflowing_post_symbol():

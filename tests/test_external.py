@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mananets import external
@@ -236,12 +236,18 @@ def test_mana_fire_error_distinguishes_sides(abc_net, plain, ms):
 
 
 def reference_mana_simulate(net, policy, initial, max_steps, rng=None):
-    """The checks of mana_enabled for every transition, then mana_fire."""
+    """mana_simulate as a walk over ManaState values, firing with mana_fire().
+
+    A transition is a candidate when the marking covers its pre-set and
+    the pool its consumption; only the chosen one fires, so only its
+    counts can overflow.
+    """
     state = initial
     steps = []
     for _ in range(max_steps):
-        candidates = [t for t in sorted(net.transitions)
-                      if mana_enabled(net, policy, state, t)]
+        candidates = [t for t in sorted(set(net.transitions))
+                      if net.pre[t] <= state.marking
+                      and span_of_transition(policy, t).consume <= state.pool]
         if not candidates:
             break
         choice = rng.choice(candidates) if rng is not None else candidates[0]
@@ -261,6 +267,68 @@ def test_mana_simulate_matches_reference(seed):
         reference_mana_simulate(net, policy, initial, 12)
     assert mana_simulate(net, policy, initial, 12, random.Random(seed)) == \
         reference_mana_simulate(net, policy, initial, 12, random.Random(seed))
+
+
+def mana_simulate_outcome(walk, net, policy, initial, max_steps, seed):
+    rng = None if seed is None else random.Random(seed)
+    try:
+        result = "ok", walk(net, policy, initial, max_steps, rng)
+    except CountOverflowError as err:
+        result = "overflow", err.symbol, err.count
+    return result, None if rng is None else rng.getstate()
+
+
+# Counts near the bound make some firings overflow, in the marking, in the
+# pool or in both. Multisets built from pairs keep the drawn order, so a
+# post or a produce may meet two overflowing symbols out of symbol order.
+walk_counts = st.one_of(st.integers(1, 2), st.integers(COUNT_MAX - 2, COUNT_MAX))
+
+
+def ordered_multisets(symbols, counts=walk_counts):
+    return st.lists(st.tuples(st.sampled_from(symbols), counts),
+                    unique_by=lambda pair: pair[0], max_size=3).map(Multiset)
+
+
+@st.composite
+def mana_walks(draw):
+    """A net, a policy and a state whose marking and pool may hold symbols
+    outside the net: the place X and the pool entry zz."""
+    names = draw(st.lists(st.sampled_from("uvw"), max_size=3, unique=True))
+    pool_symbols = [*names, "zz"]
+    net = Net(("A", "B", "C"), tuple(names),
+              {t: draw(ordered_multisets("ABC")) for t in names},
+              {t: draw(ordered_multisets("CBA")) for t in names})
+    policy = ManaPolicy({t: draw(st.integers(0, 2)) for t in names},
+                        {t: draw(ordered_multisets(pool_symbols)) for t in names})
+    initial = ManaState(draw(ordered_multisets("ABCX")), draw(ordered_multisets(pool_symbols)))
+    return net, policy, initial
+
+
+@settings(max_examples=300)
+@given(mana_walks(), st.integers(0, 8), st.one_of(st.none(), st.integers(0, 2**32)))
+def test_mana_simulate_matches_mana_state_walk(case, max_steps, seed):
+    net, policy, initial = case
+    got = mana_simulate_outcome(mana_simulate, net, policy, initial, max_steps, seed)
+    assert got == mana_simulate_outcome(reference_mana_simulate, net, policy, initial,
+                                        max_steps, seed)
+
+
+def test_mana_simulate_fires_past_a_transition_whose_pool_would_overflow():
+    net = Net.build(["a"], {"u": ({}, {}), "v": ({}, {})})
+    policy = ManaPolicy({"u": 0, "v": 0}, {"u": EMPTY, "v": Multiset({"v": 1})})
+    initial = ManaState(EMPTY, Multiset({"v": COUNT_MAX}))
+    assert mana_simulate(net, policy, initial, 3) == (("u", "u", "u"), initial)
+
+
+def test_mana_simulate_names_the_pool_overflow_first():
+    net = Net.build(["a"], {"u": ({}, {"a": 1})})
+    policy = ManaPolicy({"u": 0}, {"u": Multiset({"u": 1})})
+    initial = ManaState(Multiset({"a": COUNT_MAX}), Multiset({"u": COUNT_MAX}))
+    with pytest.raises(CountOverflowError) as err:
+        mana_simulate(net, policy, initial, 1)
+    assert (err.value.symbol, err.value.count) == ("u", COUNT_MAX + 1)
+    assert mana_simulate_outcome(mana_simulate, net, policy, initial, 1, None) == \
+        mana_simulate_outcome(reference_mana_simulate, net, policy, initial, 1, None)
 
 
 @pytest.mark.parametrize("seed", range(10))

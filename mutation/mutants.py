@@ -336,4 +336,40 @@ MUTANTS = [
         "new": "",
         "kill": ["tests/test_internal.py::test_iterated_construction_freshens_names"],
     },
+    {
+        "name": "construction: the inline consume gate has no upper bound",
+        "file": "src/mananets/internal.py",
+        "old": "        if type(count) is not int or count < 0 or count > COUNT_MAX:\n",
+        "new": "        if type(count) is not int or count < 0:\n",
+        "kill": ["tests/test_internal.py::test_a_consume_count_past_the_bound_is_refused"],
+    },
+    {
+        "name": "construction: the plain build does not check its net",
+        "file": "src/mananets/internal.py",
+        "old": "    _check_net(net)  # the plain policy fits any well-formed net\n",
+        "new": "",
+        "kill": ["tests/test_internal.py::test_internal_construction_rejects_a_malformed_net",
+                 "tests/test_internal.py::test_comonad_laws_check_every_net_they_are_given"],
+    },
+    # -- the comonad-law squares ----------------------------------------------
+    {
+        "name": "square: the one pass skips the object images",
+        "file": "src/mananets/functors.py",
+        "old": "    for p, image in inner_l.items():\n"
+               "        if _lift_image(outer_l, image) != _lift_image(outer_r, inner_r[p]):\n"
+               "            return False\n",
+        "new": "",
+        "kill": ["tests/test_internal.py::"
+                 "test_one_pass_decides_a_square_as_composing_and_comparing[object]"],
+    },
+    {
+        "name": "square: the one pass compares starts but not step tuples",
+        "file": "src/mananets/functors.py",
+        "old": "_image_steps(steps_r, b_steps)):\n",
+        "new": "_image_steps(steps_l, a_steps)):\n",
+        "kill": ["tests/test_internal.py::"
+                 "test_one_pass_decides_a_square_as_composing_and_comparing[steps]",
+                 "tests/test_internal.py::"
+                 "test_one_pass_decides_a_square_as_composing_and_comparing[outer-steps]"],
+    },
 ]

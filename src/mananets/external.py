@@ -132,9 +132,9 @@ def laxator(pool1: Multiset, pool2: Multiset) -> Multiset:
 
 
 def mana_enabled(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> bool:
-    """Enabled on the token side and coverable on the pool side."""
+    """Enabled on the token side and coverable on the pool side (no produce is added)."""
     return (enabled(net, state.marking, transition)
-            and span_of_transition(policy, transition).apply(state.pool) is not None)
+            and span_of_transition(policy, transition).consume <= state.pool)
 
 
 def mana_fire(net: Net, policy: ManaPolicy, state: ManaState, transition: str) -> ManaState:

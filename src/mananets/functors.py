@@ -16,7 +16,12 @@ the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
 pair of transition images to ``trace_equivalent`` as traces built for
 that call only, a pair of identical images as one trace on both sides,
 which it settles with a check-only walk that raises what
-:func:`~mananets.execution.replay` raises but builds no marking.
+:func:`~mananets.execution.replay` raises but builds no marking. A
+square, two composites that should agree, is decided in one pass over
+the generators (:func:`_compare_composites`) that builds neither
+composite; at a boundary mismatch, or at the first generator that
+differs or raises, it composes and compares after all, so its witness
+or error is exactly theirs.
 :class:`PresentedFunctor` is the boundary type: the public functions
 convert to the form on the way in (:func:`_to_form`) and back on the
 way out (:func:`_present`), and
@@ -161,9 +166,11 @@ def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
 def _lift_image(objects: dict, counts: dict) -> dict:
     """`counts` lifted through a form's object map.
 
-    A single symbol with count 1 lifts to that symbol's own image, which
-    is returned itself rather than copied: form dicts are never mutated.
+    An empty image lifts to itself and a single symbol with count 1 to
+    that symbol's own image, neither copied: form dicts are never mutated.
     """
+    if not counts:
+        return counts
     if len(counts) == 1:
         for symbol, count in counts.items():
             if count == 1 and symbol in objects:
@@ -246,16 +253,66 @@ def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
     target = left.target
     for t in left.source.transitions:
         (a_start, a_steps), (b_start, b_steps) = left.morphisms[t], right.morphisms[t]
-        image = _trace(target, _multiset(a_start), a_steps)
-        # An identical pair is passed as one trace, which trace_equivalent
-        # settles with a check-only walk (so an image that cannot fire raises).
-        other = (image if a_steps == b_steps and a_start == b_start
-                 else _trace(target, _multiset(b_start), b_steps))
-        if not trace_equivalent(image, other):
+        if not _images_agree(target, a_start, a_steps, b_start, b_steps):
             return {"kind": "morphism", "generator": t,
                     "left": {"initial": _sorted(a_start), "steps": list(a_steps)},
                     "right": {"initial": _sorted(b_start), "steps": list(b_steps)}}
     return None
+
+
+def _images_agree(target: Net, a_start: dict, a_steps: tuple,
+                  b_start: dict, b_steps: tuple) -> bool:
+    image = _trace(target, _multiset(a_start), a_steps)
+    # An identical pair is passed as one trace, which trace_equivalent
+    # settles with a check-only walk (so an image that cannot fire raises).
+    other = (image if a_steps == b_steps and a_start == b_start
+             else _trace(target, _multiset(b_start), b_steps))
+    return trace_equivalent(image, other)
+
+
+def _compare_composites(lo: GeneratorForm, li: GeneratorForm,
+                        ro: GeneratorForm, ri: GeneratorForm) -> dict | None:
+    """``_compare_forms(_compose_forms(lo, li), _compose_forms(ro, ri))``, in one pass.
+
+    Each generator's two composite images are computed and compared in
+    turn, and neither composite is built: when every generator agrees the
+    answer is None. On a boundary mismatch, or at the first generator
+    that differs or whose image raises, that expression is evaluated
+    after all, so the witness or the error is exactly the one it gives.
+    """
+    try:
+        if _composites_agree(lo, li, ro, ri):
+            return None
+    except Exception:  # any error: the expression below raises its own first one
+        pass
+    return _compare_forms(_compose_forms(lo, li), _compose_forms(ro, ri))
+
+
+def _composites_agree(lo: GeneratorForm, li: GeneratorForm,
+                      ro: GeneratorForm, ri: GeneratorForm) -> bool:
+    # Both inner forms must have an image for exactly the source's
+    # generators, so that every image either composite holds is checked.
+    source, target = li.source, lo.target
+    inner_l, inner_r = li.objects, ri.objects
+    if not ((li.target is lo.source or li.target == lo.source)
+            and (ri.target is ro.source or ri.target == ro.source)
+            and (ri.source is source or ri.source == source)
+            and (ro.target is target or ro.target == target)
+            and inner_l.keys() == inner_r.keys() == set(source.places)
+            and li.morphisms.keys() == ri.morphisms.keys() == set(source.transitions)):
+        return False
+    outer_l, outer_r = lo.objects, ro.objects
+    for p, image in inner_l.items():
+        if _lift_image(outer_l, image) != _lift_image(outer_r, inner_r[p]):
+            return False
+    steps_l, steps_r, images_r = lo.morphisms, ro.morphisms, ri.morphisms
+    for t, (a_start, a_steps) in li.morphisms.items():
+        b_start, b_steps = images_r[t]
+        if not _images_agree(target,
+                             _lift_image(outer_l, a_start), _image_steps(steps_l, a_steps),
+                             _lift_image(outer_r, b_start), _image_steps(steps_r, b_steps)):
+            return False
+    return True
 
 
 def compare_functors(left: PresentedFunctor,

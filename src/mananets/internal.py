@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 from .errors import NameClashError, PolicyError
 from .execution import occurrence_counts
-from .functors import (GeneratorForm, PresentedFunctor, _compare_forms, _compose_forms,
-                       _identity_form, _morphism_form, _present, _to_form)
-from .multiset import EMPTY, Multiset, _wrap
+from .functors import (GeneratorForm, PresentedFunctor, _compare_composites, _compare_forms,
+                       _compose_forms, _identity_form, _morphism_form, _present, _to_form)
+from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, lift_counts, validate_net
 from .reports import LawReport, LawResult, law_result
 
@@ -74,7 +74,8 @@ class ManaPolicy:
     @classmethod
     def plain(cls, net: Net) -> ManaPolicy:
         """One unit of a transition's own mana per firing, nothing produced."""
-        return cls(dict.fromkeys(net.transitions, 1), dict.fromkeys(net.transitions, EMPTY))
+        return _filled(cls, consume=dict.fromkeys(net.transitions, 1),
+                       produce=dict.fromkeys(net.transitions, EMPTY))
 
     @classmethod
     def of(cls, net: Net, entries: Mapping[str, tuple]) -> ManaPolicy:
@@ -148,6 +149,13 @@ class ManaNet:
         return frozenset(self.mana_place_of.values())
 
 
+def _filled(cls, **fields):
+    # A frozen dataclass holding `fields` as given, without __post_init__.
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _check_net(net: Net) -> None:
     problems = validate_net(net)
     if problems:
@@ -164,25 +172,26 @@ def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
         taken.add(name)
         mana_place_of[t] = name
 
-    # Multiset() checks every consume count, in transition order. Mana
-    # places are fresh and named apart, so each arc only gains new keys:
-    # no sum can pass the bound.
-    consumed = Multiset({mana_place_of[t]: policy.consume[t] for t in net.transitions})._entries
+    # A consume count that is not a plain int in range goes through
+    # Multiset(), which raises its error or keeps the int it stores. Mana
+    # places are fresh and named apart, so no arc sum can pass the bound.
+    consume, produce = policy.consume, policy.produce
     pre = {}
     post = {}
     for t in net.transitions:
         name = mana_place_of[t]
-        gained = lift_counts(mana_place_of, policy.produce[t]._entries)
-        pre[t] = _wrap({**net.pre[t]._entries, name: consumed[name]}
-                       ) if name in consumed else net.pre[t]
-        post[t] = _wrap({**net.post[t]._entries, **gained}) if gained else net.post[t]
-    built = Net(
-        net.places + tuple(mana_place_of[t] for t in net.transitions),
-        net.transitions,
-        pre,
-        post,
-    )
-    return ManaNet(net, built, mana_place_of, policy)
+        count = consume[t]
+        if type(count) is not int or count < 0 or count > COUNT_MAX:
+            count = Multiset({name: count})[name]
+        pre[t] = _wrap({**net.pre[t]._entries, name: count}) if count else net.pre[t]
+        gained = produce[t]._entries
+        post[t] = (_wrap({**net.post[t]._entries, **lift_counts(mana_place_of, gained)})
+                   if gained else net.post[t])
+    # Fields are filled directly, as execution._trace fills a Trace: every
+    # dict here is fresh and every tuple immutable, so copies would be waste.
+    built = _filled(Net, places=net.places + tuple(mana_place_of.values()),
+                    transitions=net.transitions, pre=pre, post=post)
+    return _filled(ManaNet, base=net, built=built, mana_place_of=mana_place_of, policy=policy)
 
 
 def generalized_internal_construction(net: Net, policy: ManaPolicy) -> ManaNet:
@@ -294,8 +303,11 @@ def _lift_form(form: GeneratorForm, smn: ManaNet, tmn: ManaNet) -> GeneratorForm
         start, steps = form.morphisms[t]
         mana = lift_counts(tmn.mana_place_of, occurrence_counts(steps))
         objects[smn.mana_place_of[t]] = mana
-        # Multiset addition, with its overflow check.
-        morphisms[t] = ((_wrap(start) + _wrap(mana))._entries if mana else start, steps)
+        # Multiset addition, which only a shared key can make overflow.
+        if mana:
+            start = ({**start, **mana} if start.keys().isdisjoint(mana)
+                     else (_wrap(start) + _wrap(mana))._entries)
+        morphisms[t] = (start, steps)
     return GeneratorForm(smn.built, tmn.built, objects, morphisms)
 
 
@@ -319,6 +331,11 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     Every functor here stays in the generator form of
     :mod:`mananets.functors` (count dicts and step tuples); no
     ``PresentedFunctor`` is built, and witnesses are read off the form.
+    Coassociativity and both naturality squares are each decided in one
+    pass over the generators, which builds neither side's composite. A
+    square that fails there, or whose images raise, is composed and
+    compared after all, so its counterexample or error is exactly the
+    one composing and comparing gives.
     """
     shared = _built_side(net)
     mn, double, eps, delta = shared
@@ -333,9 +350,10 @@ def check_comonad_laws(net: Net, morphisms: Iterable[NetMorphism] = ()) -> LawRe
     right = _compose_forms(_counit_form(double), delta)
     results.append(law_result("right-counit", _compare_forms(right, identity)))
 
-    path_outer = _compose_forms(_comultiplication_form(double, triple), delta)
-    path_lifted = _compose_forms(_lift_form(delta, double, triple), delta)
-    results.append(law_result("coassociativity", _compare_forms(path_outer, path_lifted)))
+    path_outer = _comultiplication_form(double, triple)
+    path_lifted = _lift_form(delta, double, triple)
+    results.append(law_result("coassociativity",
+                              _compare_composites(path_outer, delta, path_lifted, delta)))
 
     results.extend(_naturality_results(morphisms, net, shared))
     return LawReport(tuple(results), notes=(COMULTIPLICATION_READING,))
@@ -353,10 +371,12 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
     # Both squares are composed and compared for every distinct morphism,
     # so anything that raises does; each law keeps its first counterexample.
     counit_witness = delta_witness = None
-    sides = {_net_key(net): shared}
+    net_key = _net_key(net)
+    sides = {net_key: shared}
     seen = set()
     for index, morphism in enumerate(morphisms):
-        source_key, target_key = _net_key(morphism.source), _net_key(morphism.target)
+        source_key = net_key if morphism.source is net else _net_key(morphism.source)
+        target_key = _net_key(morphism.target)
         key = (source_key, target_key, frozenset(morphism.transition_map.items()),
                frozenset(morphism.place_map.items()))
         if key in seen:
@@ -371,14 +391,12 @@ def _naturality_results(morphisms: Iterable[NetMorphism], net: Net,
         tmn, tdd, t_eps, t_delta = sides[target_key]
         lifted = _lift_form(functor, smn, tmn)
 
-        witness = _compare_forms(_compose_forms(t_eps, lifted),
-                                 _compose_forms(functor, s_eps))
+        witness = _compare_composites(t_eps, lifted, functor, s_eps)
         if witness is not None and counit_witness is None:
             counit_witness = {"morphism_index": index, **witness}
 
         lifted_twice = _lift_form(lifted, sdd, tdd)
-        witness = _compare_forms(_compose_forms(t_delta, lifted),
-                                 _compose_forms(lifted_twice, s_delta))
+        witness = _compare_composites(t_delta, lifted, lifted_twice, s_delta)
         if witness is not None and delta_witness is None:
             delta_witness = {"morphism_index": index, **witness}
     return [law_result("counit-naturality", counit_witness),

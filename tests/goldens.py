@@ -5,12 +5,14 @@ Runs each command below with the given interpreter, as
 ``PYTHONHASHSEED`` in 0, 1 and 2, and compares its stdout with the
 checked-in file under ``tests/data``. Builds walk sets, and equiv
 compares sets of states when the two games differ on their steps, so
-reports must not depend on the string-hash order. Standard library
-only, so it runs on an interpreter without pytest::
+reports must not depend on the string-hash order. Then it runs every
+``demos/*.py`` once with the same interpreter and requires exit status
+0. Standard library only, so it runs on an interpreter without pytest::
 
     python3 tests/goldens.py --python python3.12
 
-The exit status is 0 when every output matched, 1 otherwise.
+The exit status is 0 when every output matched and every demo ran, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 DATA = HERE / "data"
 SRC = HERE.parent / "src"
+DEMOS = HERE.parent / "demos"
 HASH_SEEDS = ("0", "1", "2")
 
 #: (golden file, command line), the net document being the second word.
@@ -55,18 +58,26 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
     bad = 0
     for seed in HASH_SEEDS:
-        env["PYTHONHASHSEED"] = seed
         for golden, (command, document, *options) in GOLDENS:
             done = subprocess.run(
                 [args.python, "-m", "mananets.cli", command, str(DATA / document), *options],
-                env=env, capture_output=True)
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True)
             if done.returncode != 0 or done.stdout != (DATA / f"{golden}.json").read_bytes():
                 print(f"DIFFERS  {golden} (PYTHONHASHSEED={seed}, exit {done.returncode})")
                 sys.stdout.write(done.stderr.decode("utf-8", "replace"))
                 bad += 1
     print(f"{len(HASH_SEEDS) * len(GOLDENS) - bad} of {len(HASH_SEEDS) * len(GOLDENS)} "
           f"golden outputs match")
-    return 1 if bad else 0
+    demos = sorted(DEMOS.glob("*.py"))
+    failed = 0
+    for demo in demos:
+        done = subprocess.run([args.python, str(demo)], env=env, capture_output=True)
+        if done.returncode != 0:
+            print(f"FAILED   demo {demo.name} (exit {done.returncode})")
+            sys.stdout.write(done.stderr.decode("utf-8", "replace"))
+            failed += 1
+    print(f"{len(demos) - failed} of {len(demos)} demos exit 0")
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":

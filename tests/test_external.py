@@ -320,6 +320,17 @@ def test_mana_simulate_fires_past_a_transition_whose_pool_would_overflow():
     assert mana_simulate(net, policy, initial, 3) == (("u", "u", "u"), initial)
 
 
+def test_mana_enabled_does_not_apply_the_produce():
+    # Only the firing itself overflows the pool.
+    net = Net.build(["a"], {"v": ({}, {})})
+    policy = ManaPolicy({"v": 0}, {"v": Multiset({"v": 1})})
+    state = ManaState(EMPTY, Multiset({"v": COUNT_MAX}))
+    assert mana_enabled(net, policy, state, "v")
+    with pytest.raises(CountOverflowError) as err:
+        mana_fire(net, policy, state, "v")
+    assert (err.value.symbol, err.value.count) == ("v", COUNT_MAX + 1)
+
+
 def test_mana_simulate_names_the_pool_overflow_first():
     net = Net.build(["a"], {"u": ({}, {"a": 1})})
     policy = ManaPolicy({"u": 0}, {"u": Multiset({"u": 1})})

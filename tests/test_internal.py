@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mananets import (EMPTY, ManaPolicy, mana_place_name, Multiset, NameClashError, Net, NetMorphism,
-                      NotEnabledError,
+from mananets import (EMPTY, CountOverflowError, ManaPolicy, mana_place_name, Multiset,
+                      NameClashError, Net, NetMorphism, NotEnabledError, UnknownSymbolError,
                       PolicyError, Trace, apply_functor,
                       apply_functor_to_marking, check_comonad_laws,
                       compose_functors, comultiplication, counit,
@@ -113,15 +113,15 @@ class Pool(Multiset):
 ODD_CONSUME = [0, 1, 2, 3, COUNT_MAX, COUNT_MAX + 1, True, 1.0, Count(2)]
 
 
-def built_by_multiset_arithmetic(net, policy):
-    """The plain-named build with every arc summed as a Multiset.
+def built_by_multiset_arithmetic(net, policy, namer=mana_place_name):
+    """The build with every arc summed as a Multiset, through the public Net().
 
     The policy is validated first, as the construction does.
     """
     problems = validate_policy(net, policy)
     if problems:
         raise PolicyError(problems[0])
-    mana = {t: mana_place_name(t) for t in net.transitions}
+    mana = {t: namer(t) for t in net.transitions}
     return Net(net.places + tuple(mana.values()), net.transitions,
                {t: net.pre[t] + Multiset({mana[t]: policy.consume[t]})
                 for t in net.transitions},
@@ -148,6 +148,40 @@ def test_construction_matches_multiset_arithmetic(seed):
              for t, p in policy.produce.items()})
     got = build_outcome(lambda: generalized_internal_construction(net, policy).built)
     assert got == build_outcome(lambda: built_by_multiset_arithmetic(net, policy))
+
+
+def public_build(net, policy, namer):
+    """The ManaNet of `net` under `policy`, every record built by its public constructor."""
+    return internal.ManaNet(net, built_by_multiset_arithmetic(net, policy, namer),
+                            {t: namer(t) for t in net.transitions}, policy)
+
+
+def public_plain(net):
+    return ManaPolicy(dict.fromkeys(net.transitions, 1), dict.fromkeys(net.transitions, EMPTY))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constructions_equal_their_public_builds(seed):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    policy = random_policy(rng, net)
+    mn = internal_construction(net)
+    pairs = [(ManaPolicy.plain(net), public_plain(net)),
+             (mn, public_build(net, public_plain(net), mana_place_name)),
+             (generalized_internal_construction(net, policy),
+              public_build(net, policy, mana_place_name)),
+             (iterated_construction(mn),
+              public_build(mn.built, public_plain(mn.built), lambda t: "outer-mana:" + t))]
+    for got, want in pairs:
+        assert got == want and repr(got) == repr(want)
+    for built in (pair[0].built for pair in pairs[1:]):
+        assert type(built.places) is tuple and type(built.transitions) is tuple
+
+
+def test_a_consume_count_past_the_bound_is_refused(abc_net):
+    policy = ManaPolicy({"u": COUNT_MAX + 1}, {"u": EMPTY})
+    assert raised(lambda: generalized_internal_construction(abc_net, policy)) == (
+        CountOverflowError, "count for 'mana:u' exceeds the bound: 9223372036854775808")
 
 
 @pytest.mark.parametrize("consume, produce, shown", [
@@ -865,6 +899,121 @@ def test_composing_and_lifting_leave_input_forms_unchanged(seed):
         functors._compare_forms(left, right)
     assert [form_snapshot(form) for form in inputs] == before
     assert [form_snapshot(form) for form in made] == made_before
+
+
+# -- one pass over a square's generators ------------------------------------------
+
+
+def composed_and_compared(lo, li, ro, ri):
+    return functors._compare_forms(functors._compose_forms(lo, li),
+                                   functors._compose_forms(ro, ri))
+
+
+def assert_decided_in_one_pass_alike(lo, li, ro, ri):
+    """The one-pass decision returns or raises what composing and comparing does."""
+    got = build_outcome(lambda: functors._compare_composites(lo, li, ro, ri))
+    assert got == build_outcome(lambda: composed_and_compared(lo, li, ro, ri))
+    return got
+
+
+#: u and v share their arcs; w runs back.
+TWIN = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1}), "v": ({"A": 1}, {"B": 1}),
+                              "w": ({"B": 1}, {"A": 1})})
+OTHER = Net.build(["A"], {"u": ({"A": 1}, {"A": 1})})
+
+
+def twin_form(objects=None, **images):
+    """The identity form of TWIN with some object and morphism images replaced."""
+    form = functors._identity_form(TWIN)
+    objects = {**form.objects, **(objects or {})}
+    return functors.GeneratorForm(TWIN, TWIN, objects, {**form.morphisms, **images})
+
+
+IDENTITY = twin_form()
+ONE_PASS_CASES = {
+    "agree": ((IDENTITY,) * 4, None),
+    "object": ((IDENTITY, IDENTITY, IDENTITY, twin_form({"B": {"A": 1}})), "object"),
+    "start": ((IDENTITY, IDENTITY, IDENTITY, twin_form(w=({"B": 2}, ("w",)))), "morphism"),
+    "steps": ((IDENTITY, IDENTITY, IDENTITY, twin_form(u=({"A": 1}, ("v",)))), "morphism"),
+    "outer-steps": ((IDENTITY, IDENTITY, twin_form(u=({"A": 1}, ("v",))), IDENTITY),
+                    "morphism"),
+    "differs-then-cannot-fire": (
+        (IDENTITY, twin_form(w=({"B": 1}, ("w", "w"))),
+         IDENTITY, twin_form(u=({"A": 1}, ("v",)), w=({"B": 1}, ("w", "w")))), "morphism"),
+    "differs-then-does-not-compose": (
+        (IDENTITY, IDENTITY, IDENTITY, twin_form({"A": {"B": 1}}, w=({"B": 1}, ("x",)))),
+        KeyError),
+    "cannot-fire": ((IDENTITY, twin_form(u=({"A": 1}, ("u", "u"))),
+                     IDENTITY, twin_form(u=({"A": 1}, ("u", "u")))), NotEnabledError),
+    "unknown-symbol": ((IDENTITY, twin_form({"A": {"Z": 1}}), IDENTITY, IDENTITY),
+                       UnknownSymbolError),
+    "missing-object": ((IDENTITY, IDENTITY, IDENTITY,
+                        functors.GeneratorForm(TWIN, TWIN, {"A": {"A": 1}},
+                                               IDENTITY.morphisms)), KeyError),
+    "not-composable": ((IDENTITY, functors._identity_form(OTHER), IDENTITY, IDENTITY),
+                       ValueError),
+    "boundary": ((IDENTITY, IDENTITY, functors._identity_form(OTHER),
+                  functors._identity_form(OTHER)), "boundary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+def test_one_pass_decides_a_square_as_composing_and_comparing(case):
+    square, expected = ONE_PASS_CASES[case]
+    got = assert_decided_in_one_pass_alike(*square)
+    if expected is None or isinstance(expected, str):
+        assert (got if expected is None else got["kind"]) == expected
+    else:
+        assert got[0] is expected
+
+
+def law_squares(net, morphism):
+    """The squares check_comonad_laws decides in one pass, built as it builds
+    them, plus a pair that does not compose and a pair with other boundaries."""
+    mn, double, eps, delta = internal._built_side(net)
+    triple = internal._iterated(double)
+    smn, sdd, s_eps, s_delta = internal._built_side(morphism.source)
+    tmn, tdd, t_eps, t_delta = internal._built_side(morphism.target)
+    functor = internal._morphism_form(morphism)
+    lifted = internal._lift_form(functor, smn, tmn)
+    return [(internal._comultiplication_form(double, triple), delta,
+             internal._lift_form(delta, double, triple), delta),
+            (t_eps, lifted, functor, s_eps),
+            (t_delta, lifted, internal._lift_form(lifted, sdd, tdd), s_delta),
+            (functor, lifted, t_eps, lifted),
+            (t_eps, lifted, t_delta, lifted)]
+
+
+def doubled_images_on(bad_net, monkeypatch):
+    """Make the functor of a morphism into or out of `bad_net` fire every image twice."""
+    def fault(functor, morphism):
+        if bad_net not in (morphism.source, morphism.target):
+            return functor
+        return doubled_images(functor)
+
+    install_fault(monkeypatch, "morphism", fault)
+
+
+SQUARE_FAULTS = {**FAULTS, "doubled": doubled_images_on}
+
+
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(sorted(SQUARE_FAULTS)), max_size=2))
+@example(0, ["counit"])
+@example(0, ["comultiplication"])
+@example(0, ["lift"])
+@example(4, ["morphism"])
+@example(1, ["doubled"])
+@example(1, ["counit", "doubled"])  # an object differs before an image that cannot fire
+def test_one_pass_decides_the_law_squares_as_composing_and_comparing(seed, faults):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    morphism = random_net_morphism(rng, net)
+    with pytest.MonkeyPatch.context() as patch:
+        for fault in faults:
+            if SQUARE_FAULTS[fault] is not None:
+                SQUARE_FAULTS[fault](rng.choice([net, morphism.target]), patch)
+        for square in law_squares(net, morphism):
+            assert_decided_in_one_pass_alike(*square)
 
 
 # -- where validation happens ----------------------------------------------------

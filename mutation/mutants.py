@@ -365,11 +365,38 @@ MUTANTS = [
     {
         "name": "square: the one pass compares starts but not step tuples",
         "file": "src/mananets/functors.py",
-        "old": "_image_steps(steps_r, b_steps)):\n",
-        "new": "_image_steps(steps_l, a_steps)):\n",
+        "old": "        b_steps = (steps_r[b_steps[0]][1] if len(b_steps) == 1\n",
+        "new": "        b_steps = (steps_l[a_steps[0]][1] if len(b_steps) == 1\n",
         "kill": ["tests/test_internal.py::"
                  "test_one_pass_decides_a_square_as_composing_and_comparing[steps]",
                  "tests/test_internal.py::"
                  "test_one_pass_decides_a_square_as_composing_and_comparing[outer-steps]"],
+    },
+    {
+        "name": "square: identical square images are not walked",
+        "file": "src/mananets/functors.py",
+        "old": "            _check_steps(target, a_start, a_steps)\n",
+        "new": "            pass\n",
+        "kill": ["tests/test_internal.py::"
+                 "test_one_pass_decides_a_square_as_composing_and_comparing[identical-overflow]",
+                 "tests/test_internal.py::"
+                 "test_one_pass_decides_a_square_as_composing_and_comparing"
+                 "[identical-unknown-step]"],
+    },
+    {
+        "name": "lift: one-step lift gives two units of mana",
+        "file": "src/mananets/internal.py",
+        "old": "{mana_place_of[steps[0]]: 1}",
+        "new": "{mana_place_of[steps[0]]: 2}",
+        "kill": ["tests/test_internal.py::test_lift_identity_functor",
+                 "tests/test_internal.py::test_public_constructions_match_the_reference"],
+    },
+    # -- sampling -------------------------------------------------------------
+    {
+        "name": "draw helper keeps r == n",
+        "file": "src/mananets/execution.py",
+        "old": "    while r >= n:\n",
+        "new": "    while r > n:\n",
+        "kill": ["tests/test_sampling.py::test_a_draw_is_what_randrange_returns[0]"],
     },
 ]

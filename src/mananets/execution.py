@@ -117,13 +117,20 @@ def replay(trace: Trace) -> list[Multiset]:
 
 def _check_trace(trace: Trace) -> None:
     """Raise what :func:`replay` raises on `trace`, building no marking."""
+    _check_steps(trace.net, trace.initial._entries, trace.steps)
+
+
+def _check_steps(net: Net, counts: dict, steps: tuple) -> None:
+    """:func:`_check_trace` of the trace from the marking `counts` (left unchanged)."""
     # Fires on a count dict: most traces checked here have one step on a
     # net seen once, where a compiled game would cost ten walks. Post is
     # added in Multiset.__add__ order, so an overflow names replay's symbol.
-    counts = dict(trace.initial._entries)
-    arcs = trace.net.arcs
-    for index, transition in enumerate(trace.steps):
-        taken, given = arcs(transition)
+    counts = dict(counts)
+    pre, post = net.pre, net.post
+    for index, transition in enumerate(steps):
+        taken, given = pre.get(transition), post.get(transition)
+        if taken is None or given is None:
+            taken, given = net.arcs(transition)  # raises what replay raises
         for symbol, need in taken._entries.items():
             left = counts.get(symbol, 0) - need
             if left < 0:
@@ -356,8 +363,9 @@ class TokenGame:
     def walk(self, counts: list, max_steps: int, rng: random.Random | None = None) -> list:
         """Fire up to `max_steps` steps on the list `counts`, in place; return their labels.
 
-        Each firing takes the first enabled step in label order, or ``rng.choice`` of them,
-        until none is enabled; overflow is checked as in :func:`explore`, by the size gate.
+        Each firing takes the first enabled step in label order, or, given an `rng`, the
+        one ``rng.choice`` would pick, drawn with :func:`_below`, until none is enabled;
+        overflow is checked as in :func:`explore`, by the size gate.
         """
         size, fired = sum(counts), []
         for _ in range(max_steps):
@@ -370,7 +378,7 @@ class TokenGame:
                     moves.append(step)
             if not moves:
                 break
-            label, _, delta, growth = moves[0] if rng is None else rng.choice(moves)
+            label, _, delta, growth = moves[0] if rng is None else moves[_below(rng, len(moves))]
             size += growth
             if size > COUNT_MAX:
                 self.check_overflow(counts, delta)
@@ -558,6 +566,24 @@ def order_nodes(game: TokenGame, graph: VectorGraph) -> tuple[list[int], list[in
     return order, rank
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from ``range(n)``: what ``rng.randrange(n)`` returns, in one call.
+
+    The rule of ``random.Random``'s own integer draws: ``rng.getrandbits``
+    of the bit length of `n`, drawn again while the result is `n` or more.
+    So ``randint(a, b)`` is ``a + _below(rng, b - a + 1)`` and
+    ``choice(seq)`` is ``seq[_below(rng, len(seq))]``. Raises
+    ``ValueError`` when `n` is 0 or less, where the rule would never stop.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range to draw from: {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def reach(net: Net, initial: Multiset, depth_bound: int, token_bound: int) -> ReachGraph:
     """Bounded reachability of the plain token game from `initial`."""
     return TokenGame(net, initial).reach(initial, depth_bound, token_bound)
@@ -568,9 +594,11 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     """Fire up to `max_steps` transitions, stopping when nothing is enabled.
 
     The enabled transition with the lexicographically smallest name is
-    chosen unless an `rng` is supplied, in which case the choice is drawn
-    from it (reproducibly, given a seeded Random). The net's plain game is
-    compiled at the first call and kept on the ``Net``, outside its fields.
+    chosen unless an `rng` is supplied, in which case it is the one
+    ``rng.choice`` of the enabled transitions in name order would pick,
+    drawn with :func:`_below` (reproducibly, given a seeded Random). The
+    net's plain game is compiled at the first call and kept on the
+    ``Net``, outside its fields.
     """
     game = net.__dict__.get("_plain_game")
     if game is None:

@@ -19,9 +19,10 @@ which it settles with a check-only walk that raises what
 :func:`~mananets.execution.replay` raises but builds no marking. A
 square, two composites that should agree, is decided in one pass over
 the generators (:func:`_compare_composites`) that builds neither
-composite; at a boundary mismatch, or at the first generator that
-differs or raises, it composes and compares after all, so its witness
-or error is exactly theirs.
+composite and walks a pair of identical images itself, on their count
+dict; at a boundary mismatch, or at the first generator that differs
+or raises, it composes and compares after all, so its witness or error
+is exactly theirs.
 :class:`PresentedFunctor` is the boundary type: the public functions
 convert to the form on the way in (:func:`_to_form`) and back on the
 way out (:func:`_present`), and
@@ -37,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, _trace, run_trace, trace_equivalent
+from .execution import Trace, _check_steps, _trace, run_trace, trace_equivalent
 from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
@@ -305,12 +306,21 @@ def _composites_agree(lo: GeneratorForm, li: GeneratorForm,
     for p, image in inner_l.items():
         if _lift_image(outer_l, image) != _lift_image(outer_r, inner_r[p]):
             return False
+    # A one-step image's composite steps are the outer form's own tuple.
+    # Two equal composite images are walked once on their count dict,
+    # which raises what trace_equivalent raises on them; the caller then
+    # composes and compares, so the error is the one that gives.
     steps_l, steps_r, images_r = lo.morphisms, ro.morphisms, ri.morphisms
     for t, (a_start, a_steps) in li.morphisms.items():
         b_start, b_steps = images_r[t]
-        if not _images_agree(target,
-                             _lift_image(outer_l, a_start), _image_steps(steps_l, a_steps),
-                             _lift_image(outer_r, b_start), _image_steps(steps_r, b_steps)):
+        a_start, b_start = _lift_image(outer_l, a_start), _lift_image(outer_r, b_start)
+        a_steps = (steps_l[a_steps[0]][1] if len(a_steps) == 1
+                   else _image_steps(steps_l, a_steps))
+        b_steps = (steps_r[b_steps[0]][1] if len(b_steps) == 1
+                   else _image_steps(steps_r, b_steps))
+        if a_steps == b_steps and a_start == b_start:
+            _check_steps(target, a_start, a_steps)
+        elif not _images_agree(target, a_start, a_steps, b_start, b_steps):
             return False
     return True
 

@@ -299,9 +299,11 @@ def _lift_form(form: GeneratorForm, smn: ManaNet, tmn: ManaNet) -> GeneratorForm
         raise ValueError("mana nets do not match the functor's boundary nets")
     objects = dict(form.objects)
     morphisms = {}
+    mana_place_of = tmn.mana_place_of
     for t in form.source.transitions:
         start, steps = form.morphisms[t]
-        mana = lift_counts(tmn.mana_place_of, occurrence_counts(steps))
+        mana = ({mana_place_of[steps[0]]: 1} if len(steps) == 1 and steps[0] in mana_place_of
+                else lift_counts(mana_place_of, occurrence_counts(steps)))
         objects[smn.mana_place_of[t]] = mana
         # Multiset addition, which only a shared key can make overflow.
         if mana:

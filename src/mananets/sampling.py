@@ -2,13 +2,23 @@
 
 Law checks and the test suite sample from these with an explicit
 ``random.Random`` so every report is reproducible from its seed.
+
+Every integer draw, here and in a seeded walk, goes through
+:func:`~mananets.execution._below`: ``rng.getrandbits(n.bit_length())``,
+drawn again while the result is ``n`` or more. That is the rule of
+``Random``'s own ``randrange``, ``randint`` and ``choice``, so the
+numbers are theirs; written out here, it pins each report to its seed
+across interpreters, whatever their ``random`` module does around the
+rule. A ``Random`` subclass that overrides only ``random()`` draws
+its integers through ``getrandbits``, not through its ``random()`` as
+its own ``randrange`` would.
 """
 
 from __future__ import annotations
 
 import random
 
-from .execution import Trace, simulate
+from .execution import Trace, _below, simulate
 from .external import ManaState
 from .internal import ManaPolicy
 from .multiset import EMPTY, Multiset, _wrap
@@ -21,8 +31,8 @@ def random_multiset(rng: random.Random, symbols, max_total: int) -> Multiset:
     if not symbols or max_total <= 0:
         return EMPTY
     counts: dict[str, int] = {}
-    for _ in range(rng.randint(0, max_total)):
-        symbol = rng.choice(symbols)
+    for _ in range(_below(rng, max_total + 1)):
+        symbol = symbols[_below(rng, len(symbols))]
         counts[symbol] = counts.get(symbol, 0) + 1
     return _wrap(counts) if counts else EMPTY
 
@@ -30,8 +40,8 @@ def random_multiset(rng: random.Random, symbols, max_total: int) -> Multiset:
 def random_net(rng: random.Random, max_places: int = 5, max_transitions: int = 4,
                max_arc_total: int = 3) -> Net:
     """A small well-formed net with places p0.. and transitions t0.."""
-    places = tuple(f"p{i}" for i in range(rng.randint(1, max_places)))
-    names = tuple(f"t{i}" for i in range(rng.randint(0, max_transitions)))
+    places = tuple(f"p{i}" for i in range(1 + _below(rng, max_places)))
+    names = tuple(f"t{i}" for i in range(_below(rng, max_transitions + 1)))
     return Net(places, names,
                {t: random_multiset(rng, places, max_arc_total) for t in names},
                {t: random_multiset(rng, places, max_arc_total) for t in names})
@@ -41,7 +51,7 @@ def random_policy(rng: random.Random, net: Net, max_consume: int = 2,
                   max_produce_total: int = 3) -> ManaPolicy:
     """Arbitrary consume counts (0 allowed) and produce multisets."""
     return ManaPolicy(
-        {t: rng.randint(0, max_consume) for t in net.transitions},
+        {t: _below(rng, max_consume + 1) for t in net.transitions},
         {t: random_multiset(rng, net.transitions, max_produce_total)
          for t in net.transitions},
     )
@@ -65,7 +75,7 @@ def random_state(rng: random.Random, net: Net, max_tokens: int = 3,
 def random_trace(rng: random.Random, net: Net, initial: Multiset,
                  max_steps: int = 6) -> Trace:
     """A random walk through enabled transitions, possibly shorter than asked."""
-    return simulate(net, initial, rng.randint(0, max_steps), rng)
+    return simulate(net, initial, _below(rng, max_steps + 1), rng)
 
 
 def random_net_morphism(rng: random.Random, source: Net) -> NetMorphism:
@@ -75,8 +85,8 @@ def random_net_morphism(rng: random.Random, source: Net) -> NetMorphism:
     relabelled arcs coincide may be merged too. The target optionally
     gains an extra isolated place so the morphism need not be surjective.
     """
-    buckets = max(1, rng.randint(1, max(1, len(source.places))))
-    place_map = {p: f"q{rng.randrange(buckets)}" for p in source.places}
+    buckets = 1 + _below(rng, max(1, len(source.places)))
+    place_map = {p: f"q{_below(rng, buckets)}" for p in source.places}
     target_places = sorted(set(place_map.values()))
 
     lifted = {t: (lift_multiset_map(place_map, source.pre[t]),

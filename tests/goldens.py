@@ -7,17 +7,20 @@ checked-in file under ``tests/data``. Builds walk sets, and equiv
 compares sets of states when the two games differ on their steps, so
 reports must not depend on the string-hash order. Then it runs every
 ``demos/*.py`` once with the same interpreter and requires exit status
-0. Standard library only, so it runs on an interpreter without pytest::
+0, and a 1-s ``perfbench/run.py`` smoke run of each workload, which
+must exit 0 and report no failed verdict. Standard library only, so it
+runs on an interpreter without pytest::
 
     python3 tests/goldens.py --python python3.12
 
-The exit status is 0 when every output matched and every demo ran, 1
-otherwise.
+The exit status is 0 when every output matched, every demo ran and
+every smoke run passed, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +30,8 @@ HERE = Path(__file__).resolve().parent
 DATA = HERE / "data"
 SRC = HERE.parent / "src"
 DEMOS = HERE.parent / "demos"
+BENCH = HERE.parent / "perfbench" / "run.py"
+SMOKE_WORKLOADS = ("explore", "laws", "trace-classes")
 HASH_SEEDS = ("0", "1", "2")
 
 #: (golden file, command line), the net document being the second word.
@@ -77,7 +82,23 @@ def main(argv=None) -> int:
             sys.stdout.write(done.stderr.decode("utf-8", "replace"))
             failed += 1
     print(f"{len(demos) - failed} of {len(demos)} demos exit 0")
-    return 1 if bad or failed else 0
+    smoked = 0
+    for workload in SMOKE_WORKLOADS:
+        done = subprocess.run([args.python, str(BENCH), "--workload", workload,
+                               "--seed", "1", "--seconds", "1"], capture_output=True)
+        lines = done.stdout.decode("utf-8", "replace").splitlines()
+        try:
+            failed_verdicts = json.loads(lines[-1])["failed"]
+        except (IndexError, ValueError, KeyError):
+            failed_verdicts = None
+        if done.returncode == 0 and failed_verdicts == 0:
+            smoked += 1
+        else:
+            print(f"FAILED   smoke run {workload} (exit {done.returncode}, "
+                  f"failed verdicts {failed_verdicts})")
+            sys.stdout.write(done.stderr.decode("utf-8", "replace"))
+    print(f"{smoked} of {len(SMOKE_WORKLOADS)} perfbench smoke runs report no failure")
+    return 1 if bad or failed or smoked < len(SMOKE_WORKLOADS) else 0
 
 
 if __name__ == "__main__":

@@ -954,6 +954,14 @@ ONE_PASS_CASES = {
                        ValueError),
     "boundary": ((IDENTITY, IDENTITY, functors._identity_form(OTHER),
                   functors._identity_form(OTHER)), "boundary"),
+    # Identical composite images, walked once: a firing past COUNT_MAX,
+    # and an outer image that names a transition TWIN lacks.
+    "identical-overflow": ((IDENTITY, twin_form(u=({"A": 1, "B": COUNT_MAX}, ("u",))),
+                            IDENTITY, twin_form(u=({"A": 1, "B": COUNT_MAX}, ("u",)))),
+                           CountOverflowError),
+    "identical-unknown-step": ((twin_form(w=({"B": 1}, ("x",))), IDENTITY,
+                                twin_form(w=({"B": 1}, ("x",))), IDENTITY),
+                               UnknownSymbolError),
 }
 
 

@@ -135,41 +135,42 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     match the internal one through :func:`state_to_object`, node for node
     and edge for edge (labels included). That map is fixed on generators
     (a marking symbol to itself, pool ``t`` to the mana place of ``t``),
-    so it is applied once, to the steps of the compiled mana game, which
-    is :meth:`~mananets.execution.TokenGame.relabelled` into the built
-    net's coordinate order. The root is laid out first, so an error of
-    :func:`state_to_object` comes before any search; then the external
-    game is explored. When its coordinates are the built net's and each
-    of its steps has the built net's label, ``pre`` and ``Δ`` (compared
-    as a set: the orders differ), the two are one vector game, whose
-    search from one root finds one graph under any bound, so the built
-    net is not explored. Otherwise it is, and the two windows are
-    compared by :func:`_first_discrepancy`.
+    so it names each coordinate of the compiled mana game once, and the
+    two games' steps are compared by those names. The root is laid out
+    first, so an error of :func:`state_to_object` comes before any
+    search; then the external game is explored in its own layout. When
+    its coordinate names are the built net's symbols and each of its
+    steps has the built net's label, ``pre`` and ``Δ`` by name, the two
+    are one vector game up to the order of coordinates, whose search
+    from one root finds one graph under any bound, so the built net is
+    not explored. Otherwise it is, and the two windows are compared by
+    :func:`_first_discrepancy`.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
     root = state_to_object(mn, initial)
     split = ext_game.split
     names = [s if i < split else mn.mana_place_of[s] for i, s in enumerate(ext_game.symbols)]
-    laid_out = ext_game.relabelled(names)
-    ext = explore(laid_out, laid_out.vector(initial),
+    ext = explore(ext_game, ext_game.vector(initial),
                   depth_bound=depth_bound, token_bound=token_bound)
     int_game = TokenGame(mn.built, root)
-    symbols = tuple(sorted(names))
     n, e = len(ext.nodes), len(ext.edges)
-    # Equal coordinates lay the root out alike, so the roots need no comparison.
-    if symbols == int_game.symbols and _generators(laid_out) == _generators(int_game):
+    # Equal coordinate names lay the root out alike, so the roots need no comparison.
+    if (sorted(names) == list(int_game.symbols)
+            and _generators(ext_game, names) == _generators(int_game, int_game.symbols)):
         return EquivalenceReport(True, n, n, e, e, None)
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
-    discrepancy = _first_discrepancy(_window(ext, symbols), _window(internal, int_game.symbols))
+    discrepancy = _first_discrepancy(_window(ext, names), _window(internal, int_game.symbols))
     return EquivalenceReport(discrepancy is None, n, len(internal.nodes), e,
                              len(internal.edges), discrepancy)
 
 
-def _generators(game: TokenGame) -> list:
-    # A step's growth is the sum of its changes, so it needs no comparison.
-    return [(label, pre, set(delta)) for label, pre, delta, _ in game.steps]
+def _generators(game: TokenGame, names) -> list:
+    # Each step as (label, {name: need}, {name: change}), coordinate i read as
+    # names[i]. A step's growth is the sum of its changes, so it needs no comparison.
+    return [(label, {names[i]: c for i, c in pre}, {names[i]: d for i, d in delta})
+            for label, pre, delta, _ in game.steps]
 
 
 def _window(graph: VectorGraph, symbols) -> tuple[set, set]:

@@ -15,10 +15,9 @@ the pool as a second segment of the same vector, so :func:`reach`,
 :func:`~mananets.equivalence.check_equivalence` share one kernel, and
 :func:`simulate` and :func:`~mananets.external.mana_simulate` its
 :meth:`~TokenGame.walk`; a malformed arc raises when it is compiled,
-before any search or firing. That check
-runs the mana game :meth:`~TokenGame.relabelled` into the built net's
-coordinate order, so both sides pack their states alike, and compares
-the two games' steps before it explores the built net at all.
+before any search or firing. That check names each coordinate of the
+mana game by its built-net symbol and compares the two games' steps by
+those names before it explores the built net at all.
 
 :func:`explore` packs each state into one integer, one fixed-width field
 per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
@@ -39,7 +38,6 @@ two windows only when the games differ on their steps.
 
 from __future__ import annotations
 
-import copy
 import random
 import struct
 from collections import deque
@@ -316,31 +314,6 @@ class TokenGame:
         for i, d in delta:
             if vector[i] + d > COUNT_MAX:
                 raise CountOverflowError(self.symbols[i], vector[i] + d)
-
-    def relabelled(self, names) -> TokenGame:
-        """This game with coordinate ``i`` moved to the rank of ``names[i]``.
-
-        The ranks are taken in sorted order of `names`, which must be
-        distinct. Steps keep their order and their changes keep theirs, and
-        each symbol moves with its coordinate, so :func:`explore` finds the
-        same nodes in the same order and raises the same overflow, naming
-        this game's symbol; :meth:`vector` lays states out in the new order,
-        in which :attr:`steps` compare with another game's, and
-        :attr:`symbols` holds this game's names at their new ranks.
-        :meth:`state` and :func:`order_nodes` read the compiled order.
-        """
-        order = sorted(range(len(names)), key=names.__getitem__)
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        game = copy.copy(self)
-        game.symbols = tuple(self.symbols[i] for i in order)
-        game._places = {s: rank[i] for s, i in self._places.items()}
-        game._pool = {s: rank[i] for s, i in self._pool.items()}
-        game.steps = [(label, tuple(sorted((rank[i], c) for i, c in pre)),
-                       tuple((rank[i], d) for i, d in delta), growth)
-                      for label, pre, delta, growth in self.steps]
-        return game
 
     def _vector(self, marking: Multiset, pool: Multiset = EMPTY) -> tuple:
         counts = [0] * len(self.symbols)

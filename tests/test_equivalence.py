@@ -300,6 +300,14 @@ def test_golden_equiv_inputs_are_found_in_one_order(monkeypatch, name, depth, bo
     assert_decided_on_generators(monkeypatch, doc.net, policy, initial, depth, bound)
 
 
+def test_a_stray_marking_symbol_is_decided_on_generators(monkeypatch):
+    """x is no place of the net and sorts between mana:u and z, so every
+    coordinate has another rank in each game; the steps still compare by name."""
+    net = Net.build(["z"], {"u": ({"z": 1}, {"z": 1})})
+    initial = ManaState(Multiset({"x": 1, "z": 1}), Multiset({"u": 2}))
+    assert_decided_on_generators(monkeypatch, net, ManaPolicy.plain(net), initial, 4, 10)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_enabledness_transfers(seed):
     rng = random.Random(seed)

@@ -380,6 +380,23 @@ def test_a_faulty_built_net_is_judged_as_the_reference_judges_it(fault, isomorph
     assert report.isomorphic is isomorphic
 
 
+def test_a_built_net_with_other_coordinates_is_explored(monkeypatch):
+    """A place no arc touches: the steps agree by name, the coordinates do
+    not, so the built net is explored before the windows are found equal."""
+    explored = []
+
+    def counting(game, *args, **kwargs):
+        explored.append(type(game))
+        return explore(game, *args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "explore", counting)
+    policy = ManaPolicy.plain(TWO_WAY)
+    initial = ManaState(Multiset({"A": 1}), Multiset({"u": 1, "v": 1}))
+    with faulty(lambda mn, t, w: rebuilt(mn, places=mn.built.places + ("zextra",)), "u", "v"):
+        assert check_equivalence(TWO_WAY, policy, initial, 4, 10).isomorphic
+    assert explored == [ManaGame, TokenGame]
+
+
 def game_and_root(data, net, initial):
     """How to build a plain or a mana game on `net`, its root, and its policy.
 
@@ -444,7 +461,8 @@ def test_marking_on_a_mana_place_name_is_refused(pre):
 
 
 def test_pool_overflow_after_relabelling_names_the_pool_symbol():
-    """Place z sorts after mana:u, so u's pool moves to coordinate 0."""
+    """u's pool is the mana game's last coordinate, and mana:u, sorting before
+    z, is the built net's first: the overflow names the mana game's symbol."""
     net = Net.build(["z"], {"u": ({}, {})})
     policy = ManaPolicy({"u": 0}, {"u": Multiset({"u": 1})})
     initial = ManaState(Multiset({"z": 1}), Multiset({"u": COUNT_MAX}))

@@ -96,8 +96,8 @@ MUTANTS = [
     {
         "name": "writer: edge targets written by position, not rank",
         "file": "src/mananets/documents.py",
-        "old": "{ranks[d]}\\n    ]",
-        "new": "{d}\\n    ]",
+        "old": "{ranks[targets[e]]}\\n    ]",
+        "new": "{targets[e]}\\n    ]",
         "kill": ["tests/test_kernel.py::test_writer_edge_cases[empty-marking]",
                  "tests/test_cli.py::test_golden_output[loop-argv3]"],
     },
@@ -114,9 +114,47 @@ MUTANTS = [
         "name": "kernel: bulk unpack without the no-coordinate case",
         "file": "src/mananets/execution.py",
         "old": "        if not size:  # no coordinates: every node is the empty vector\n"
-               "            return [()] * len(nodes)\n",
+               "            return iter([()] * len(nodes))\n",
         "new": "",
         "kill": ["tests/test_kernel.py::test_writer_edge_cases[no-coordinates]"],
+    },
+    {
+        "name": "kernel: a firing that fills the token room exactly is dropped",
+        "file": "src/mananets/execution.py",
+        "old": "                if growth > room:\n",
+        "new": "                if growth >= room:\n",
+        "kill": ["tests/test_kernel.py::test_a_firing_that_fills_the_token_bound_exactly_is_kept",
+                 "tests/test_cli.py::test_golden_output[ring6-argv0]"],
+    },
+    {
+        "name": "kernel: a cut node checks every enabled firing for overflow",
+        "file": "src/mananets/execution.py",
+        "old": "                        if stop:\n"
+               "                            truncated = True\n"
+               "                            break\n",
+        "new": "                        truncated = truncated or stop\n",
+        "kill": ["tests/test_kernel.py::"
+                 "test_a_cut_node_checks_only_its_first_enabled_firing_for_overflow[token-bound]",
+                 "tests/test_kernel.py::"
+                 "test_a_cut_node_checks_only_its_first_enabled_firing_for_overflow[depth-bound]"],
+    },
+    {
+        "name": "kernel: a cut node does not mark the graph truncated",
+        "file": "src/mananets/execution.py",
+        "old": "                        if stop:\n"
+               "                            truncated = True\n",
+        "new": "                        if stop:\n",
+        "kill": ["tests/test_kernel.py::"
+                 "test_a_cut_node_checks_only_its_first_enabled_firing_for_overflow[depth-bound]",
+                 "tests/test_cli.py::test_golden_output[ring6-argv0]"],
+    },
+    {
+        "name": "kernel: no closing sentinel in the firing offsets",
+        "file": "src/mananets/execution.py",
+        "old": "    first.append(len(targets))  # the closing sentinel\n",
+        "new": "",
+        "kill": ["tests/test_kernel.py::test_edges_are_counted_as_they_are_iterated",
+                 "tests/test_cli.py::test_golden_output[ring6-argv0]"],
     },
     {
         "name": "kernel: step deltas sorted by coordinate",

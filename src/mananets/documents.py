@@ -492,56 +492,59 @@ def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
     within the two bounds. The text is exactly ``json.dumps(
     graph_to_json_dict(game.reach(root, depth_bound, token_bound)),
     sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, so nodes and
-    edges come in the order of :func:`~mananets.execution.order_nodes`.
-    The nodes are unpacked together, in sorted order, and each is
+    edges come in the order of :func:`~mananets.execution.order_nodes`,
+    each node's edges read from its range of the graph's flat firing
+    arrays. The nodes are unpacked together, in sorted order, and each is
     written from the game's sorted symbols, the marking segment and, for
     a :class:`~mananets.external.ManaGame`, the pool segment; no
     ``Multiset`` or ``ReachGraph`` is built. Each member text and each
     rank text is made once and reused. With an indent,
     ``json.dumps`` runs its pure-Python encoder, which would dominate the
-    time of a large ``reach``; this writer only joins strings.
+    time of a large ``reach``; this writer only joins strings, all of
+    them in one final join.
     """
     names = _JsonStrings()
     order, rank = order_nodes(game, graph)
     split = game.split
     symbols = game.symbols
-    out = graph.out
+    first, labels, targets = graph.first, graph.labels, graph.targets
 
-    def segment(start: int, stop: int, indent: str):
-        """The writer of one segment's counts as a JSON object at `indent`."""
+    def segment(start: int, stop: int, indent: str, lead: str = ""):
+        """The writer of one segment's counts as a JSON object at `indent`, after `lead`."""
         members = [_Members(names[s] + ": ") for s in symbols[start:stop]]
         inner = ",\n" + indent + "  "
         close = "\n" + indent + "}"
+        opening, empty = lead + "{" + inner[1:], lead + "{}"
 
         def counts(vector) -> str:
             body = inner.join(filter(None, map(_Members.__getitem__, members, vector[start:])))
-            return "{" + inner[1:] + body + close if body else "{}"
+            return opening + body + close if body else empty
         return counts
 
+    # Each node's rank as text, by position: a rank is formatted once,
+    # not once per edge that touches it. Every item text of the two lists
+    # begins with its separator; see _json_list.
+    ranks = [str(r) for r in rank]
+    edges = [f",\n    [\n      {ranks[s]},\n      {names[labels[e]]},\n      "
+             f"{ranks[targets[e]]}\n    ]" for s in order for e in range(first[s], first[s + 1])]
     vectors = graph.vectors([graph.nodes[s] for s in order])
     if isinstance(game, ManaGame):
         marking = segment(0, split, "      ")
         pool = segment(split, len(symbols), "      ")
-        nodes = ['{\n      "marking": ' + marking(v) + ',\n      "pool": ' + pool(v)
+        nodes = [',\n    {\n      "marking": ' + marking(v) + ',\n      "pool": ' + pool(v)
                  + "\n    }" for v in vectors]
     else:
-        counts = segment(0, split, "    ")
-        nodes = [counts(v) for v in vectors]
-    # Each node's rank as text, by position: a rank is formatted once,
-    # not once per edge that touches it.
-    ranks = [str(r) for r in rank]
-    edges = [f"[\n      {ranks[s]},\n      {names[label]},\n      {ranks[d]}\n    ]"
-             for s in order for label, d in out[s]]
-    root = ranks[0]
-    del ranks, vectors  # the join below is the writer's peak in memory
-    return "".join((
-        '{\n  "depth_bound": ', _json_scalar(depth_bound),
-        ',\n  "edges": ', _json_list(edges),
-        ',\n  "nodes": ', _json_list(nodes),
-        ',\n  "root": ', root,
-        ',\n  "token_bound": ', _json_scalar(token_bound),
-        ',\n  "truncated": ', _json_scalar(graph.truncated),
-        "\n}\n"))
+        nodes = list(map(segment(0, split, "    ", ",\n    "), vectors))
+    pieces = ['{\n  "depth_bound": ', _json_scalar(depth_bound), ',\n  "edges": ']
+    pieces += _json_list(edges)
+    pieces.append(',\n  "nodes": ')
+    pieces += _json_list(nodes)
+    pieces += (',\n  "root": ', ranks[0],
+               ',\n  "token_bound": ', _json_scalar(token_bound),
+               ',\n  "truncated": ', _json_scalar(graph.truncated),
+               "\n}\n")
+    del ranks, edges, nodes  # the join below is the writer's peak in memory
+    return "".join(pieces)
 
 
 class _JsonStrings(dict):
@@ -570,8 +573,14 @@ def _json_scalar(value) -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _json_list(items: list[str]) -> str:
-    """A top-level member list whose items are already indented texts."""
+def _json_list(items: list[str]) -> list[str]:
+    """`items`, texts that each begin with ``,\\n    ``, as the pieces of a top-level list.
+
+    The list is changed in place: the first item loses its comma, and the
+    pieces are joined once, with the rest of the document.
+    """
     if not items:
-        return "[]"
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+        return ["[]"]
+    items[0] = "[" + items[0][1:]
+    items.append("\n  ]")
+    return items

@@ -27,7 +27,9 @@ on top, rounded up to 8, 16, 32 or 64 bits. With every guard bit set, a
 state covers a step's counts iff subtracting them, all at once, leaves
 every guard bit set; a firing is one addition of the step's change. A
 step that needs more than a field can hold is never enabled and is left
-out, since its subtraction would borrow across fields.
+out, since its subtraction would borrow across fields. The firings go
+into flat arrays, one label and one target per firing and one offset per
+node (compressed sparse rows), so a firing makes no object of its own.
 :func:`order_nodes` sorts packed nodes by an integer key. Nodes are
 unpacked into count tuples, all at once by :meth:`VectorGraph.vectors`,
 only where they leave the kernel: in :meth:`TokenGame.reach`, in
@@ -367,8 +369,9 @@ class TokenGame:
         order, rank = order_nodes(self, graph)
         nodes = list(map(self.state, graph.vectors([graph.nodes[s] for s in order])))
         nodes[rank[0]] = root
-        edges = [(nodes[r], label, nodes[rank[d]])
-                 for r, s in enumerate(order) for label, d in graph.out[s]]
+        first, labels, targets = graph.first, graph.labels, graph.targets
+        edges = [(nodes[r], labels[e], nodes[rank[targets[e]]])
+                 for r, s in enumerate(order) for e in range(first[s], first[s + 1])]
         return ReachGraph(root, tuple(nodes), tuple(edges), depth_bound, token_bound,
                           graph.truncated)
 
@@ -379,31 +382,37 @@ class VectorGraph:
     `nodes` holds the packed states in the order they were found, the
     root first; :meth:`vectors` unpacks a list of them into their
     counts. Each field is `width` bits wide, and `guard` holds the top
-    bit of every field. ``out[s]`` lists the ``(label, target)`` firings
-    out of node `s` in the game's step order, targets being positions in
-    `nodes`; a node that was not expanded has none. :func:`order_nodes`
-    sorts the nodes where the order matters. It is a plain class because
-    a frozen dataclass generates and compiles its methods at import time.
+    bit of every field. The firings are stored flat, in compressed
+    sparse rows: firing `e` has the label ``labels[e]`` and the target
+    position ``targets[e]`` in `nodes`, and those out of node `s` are
+    ``range(first[s], first[s + 1])``, in the game's step order, so
+    `first` has one entry more than `nodes`. A node that was not
+    expanded has none. :func:`order_nodes` sorts the nodes where the
+    order matters. It is a plain class because a frozen dataclass
+    generates and compiles its methods at import time.
     """
 
-    __slots__ = ("nodes", "out", "truncated", "width", "guard", "_fields")
+    __slots__ = ("nodes", "first", "labels", "targets", "truncated", "width", "guard",
+                 "_fields")
 
-    def __init__(self, nodes: list, out: list, truncated: bool, width: int,
-                 coordinates: int):
+    def __init__(self, nodes: list, first: list, labels: list, targets: list,
+                 truncated: bool, width: int, coordinates: int):
         self.nodes = nodes
-        self.out = out
+        self.first = first
+        self.labels = labels
+        self.targets = targets
         self.truncated = truncated
         self.width = width
         self._fields = struct.Struct(f">{coordinates}{_FIELD_CODES[width]}")
         self.guard = self.pack([1 << width - 1] * coordinates)
 
-    def vectors(self, nodes: list) -> list:
-        """The counts of each packed node in `nodes`, unpacked in one call."""
+    def vectors(self, nodes: list):
+        """An iterator over the counts of each packed node in `nodes`, unpacked in one call."""
         fields = self._fields
         size = fields.size
         if not size:  # no coordinates: every node is the empty vector
-            return [()] * len(nodes)
-        return list(fields.iter_unpack(b"".join([x.to_bytes(size, "big") for x in nodes])))
+            return iter([()] * len(nodes))
+        return fields.iter_unpack(b"".join([x.to_bytes(size, "big") for x in nodes]))
 
     def pack(self, vector) -> int:
         """The packed node of a count vector."""
@@ -412,24 +421,25 @@ class VectorGraph:
     @property
     def edges(self) -> _Edges:
         """The firings as ``(source, label, target)`` triples, counted by ``len``."""
-        return _Edges(self.out)
+        return _Edges(self)
 
 
 class _Edges:
-    """A view of adjacency lists as triples, made only as they are read."""
+    """A view of the flat firing arrays as triples, made only as they are read."""
 
-    __slots__ = ("_out",)
+    __slots__ = ("_graph",)
 
-    def __init__(self, out: list):
-        self._out = out
+    def __init__(self, graph: VectorGraph):
+        self._graph = graph
 
     def __len__(self) -> int:
-        return sum(map(len, self._out))
+        return len(self._graph.targets)
 
     def __iter__(self):
-        for s, pairs in enumerate(self._out):
-            for label, d in pairs:
-                yield s, label, d
+        first, labels, targets = self._graph.first, self._graph.labels, self._graph.targets
+        for s in range(len(first) - 1):
+            for e in range(first[s], first[s + 1]):
+                yield s, labels[e], targets[e]
 
 
 def _packed(pairs, coordinates: int, width: int) -> int:
@@ -452,7 +462,7 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
     coordinates = len(root)
     width = field_width(root, token_bound)
     top = width - 1
-    graph = VectorGraph([], [], False, width, coordinates)
+    graph = VectorGraph([], [], [], [], False, width, coordinates)
     guard = graph.guard
     # A step that needs a count of 2**top or more is never enabled, and
     # subtracting its needs would borrow across fields: it is left out.
@@ -460,13 +470,14 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
               growth, delta)
              for label, pre, delta, growth in game.steps
              if all(need >> top == 0 for _, need in pre)]
+    most_growth = max((step[3] for step in steps), default=0)
     start = graph.pack(root)
     index = {start: 0}
     states = graph.nodes
     states.append(start)
     sizes = [sum(root)]
-    # Nodes are visited in the order they were found, so `out` grows with them.
-    out = graph.out
+    # Nodes are visited in the order they were found, so `first` grows with them.
+    first, labels, targets = graph.first, graph.labels, graph.targets
     truncated = False
     frontier = [0]
     depth = 0
@@ -475,21 +486,28 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
         level = []
         cut = depth >= depth_bound
         for s in frontier:
+            first.append(len(targets))
             state = states[s]
             size = sizes[s]
-            stop = cut or size > token_bound
             covered = state | guard
-            edges = []
-            for label, pre, delta, growth, change in steps:
+            stop = cut or size > token_bound
+            if stop or size + most_growth > COUNT_MAX:
+                # Each enabled firing that could pass COUNT_MAX is checked, in
+                # step order; at a node that is not expanded, only the first.
+                for _, pre, _, growth, change in steps:
+                    if (covered - pre) & guard == guard:
+                        if size + growth > COUNT_MAX:
+                            game.check_overflow(next(graph.vectors([state])), change)
+                        if stop:
+                            truncated = True
+                            break
+            if stop:
+                continue
+            room = token_bound - size
+            for label, pre, delta, growth, _ in steps:
                 if (covered - pre) & guard != guard:
                     continue
-                nxt_size = size + growth
-                if nxt_size > COUNT_MAX:
-                    game.check_overflow(graph.vectors([state])[0], change)
-                if stop:
-                    truncated = True
-                    break
-                if nxt_size > token_bound:
+                if growth > room:
                     truncated = True
                     continue
                 nxt = state + delta
@@ -497,12 +515,13 @@ def explore(game: TokenGame, root: tuple, *, depth_bound: int,
                 if j == found:
                     found += 1
                     states.append(nxt)
-                    sizes.append(nxt_size)
+                    sizes.append(size + growth)
                     level.append(j)
-                edges.append((label, j))
-            out.append(edges or ())
+                labels.append(label)
+                targets.append(j)
         frontier = level
         depth += 1
+    first.append(len(targets))  # the closing sentinel
     graph.truncated = truncated
     return graph
 
@@ -516,8 +535,8 @@ def order_nodes(game: TokenGame, graph: VectorGraph) -> tuple[list[int], list[in
     and clears the zero fields after a segment's last count, so that a
     segment which ends early sorts first, as a prefix does. Returns the
     node positions in sorted order and, for each position, its rank. A
-    node's firings come in label order, so walking ``graph.out`` in this
-    order gives the sorted edges.
+    node's firings come in label order, so walking each node's range of
+    ``graph.first`` in this order gives the sorted edges.
     """
     top = graph.width - 1
     guard = graph.guard

@@ -252,13 +252,16 @@ def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
     count = len(internal.nodes)
     assert count > 2
     new = [0] + list(range(count - 1, 0, -1))  # the root stays first
-    nodes = [None] * count
-    out = [None] * count
-    for s, x in enumerate(internal.nodes):
-        nodes[new[s]] = x
-        out[new[s]] = [(label, new[d]) for label, d in internal.out[s]]
-    renumbered = VectorGraph(nodes, out, internal.truncated, internal.width,
-                             len(game.symbols))
+    old = sorted(range(count), key=new.__getitem__)  # old position of each new one
+    first, labels, targets = [], [], []
+    for s in old:
+        first.append(len(targets))
+        for e in range(internal.first[s], internal.first[s + 1]):
+            labels.append(internal.labels[e])
+            targets.append(new[internal.targets[e]])
+    first.append(len(targets))
+    renumbered = VectorGraph([internal.nodes[s] for s in old], first, labels, targets,
+                             internal.truncated, internal.width, len(game.symbols))
     assert renumbered.nodes != internal.nodes
     window = equivalence._window(renumbered, game.symbols)
     assert equivalence._first_discrepancy(ext_window, window) is None

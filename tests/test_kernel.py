@@ -414,15 +414,16 @@ def game_and_root(data, net, initial):
 def ordered(game, root, depth, bound):
     """Explore, then sort with order_nodes, as the library's reach does."""
     graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
-    assert graph.vectors(graph.nodes[:1]) == [game.vector(root)]
+    assert list(graph.vectors(graph.nodes[:1])) == [game.vector(root)]
     discovered_by = {}
     for s, _, d in graph.edges:
         discovered_by.setdefault(d, s)
     assert all(discovered_by[d] < d for d in range(1, len(graph.nodes)))
     order, rank = order_nodes(game, graph)
     nodes = tuple(map(game.state, graph.vectors([graph.nodes[s] for s in order])))
-    edges = tuple((nodes[r], label, nodes[rank[d]])
-                  for r, s in enumerate(order) for label, d in graph.out[s])
+    first = graph.first
+    edges = tuple((nodes[r], graph.labels[e], nodes[rank[graph.targets[e]]])
+                  for r, s in enumerate(order) for e in range(first[s], first[s + 1]))
     assert len(graph.edges) == len(edges)
     return nodes[rank[0]], nodes, edges, graph.truncated
 
@@ -481,6 +482,53 @@ def test_count_overflow_is_reported_with_its_symbol():
             reach(net, full, 3, bound)
         assert err.value.symbol == "a"
         assert outcome(reach, net, full, 3, bound) == outcome(ref_reach, net, full, 3, bound)
+
+
+# A root that is not expanded, cut at the token bound or at depth 0.
+CUT_BOUNDS = pytest.mark.parametrize("depth, bound", [(3, 0), (0, 4 * COUNT_MAX)],
+                                     ids=["token-bound", "depth-bound"])
+
+
+@CUT_BOUNDS
+def test_a_cut_node_checks_only_its_first_enabled_firing_for_overflow(depth, bound):
+    """u, enabled first, changes nothing; v would push b past COUNT_MAX, but
+    a node that is not expanded is only asked whether some firing exists."""
+    net = Net.build(["a", "b"], {"u": ({"a": 1}, {"a": 1}), "v": ({}, {"b": 1})})
+    root = Multiset({"a": 1, "b": COUNT_MAX})
+    graph = reach(net, root, depth, bound)
+    assert graph.nodes == (root,) and graph.edges == () and graph.truncated
+    assert outcome(reach, net, root, depth, bound) == outcome(ref_reach, net, root, depth, bound)
+
+
+@CUT_BOUNDS
+def test_a_cut_node_whose_first_enabled_firing_overflows_raises(depth, bound):
+    net = Net.build(["a", "b"], {"u": ({}, {"b": 1}), "v": ({"a": 1}, {"a": 1})})
+    root = Multiset({"a": 1, "b": COUNT_MAX})
+    with pytest.raises(CountOverflowError) as err:
+        reach(net, root, depth, bound)
+    assert (err.value.symbol, err.value.count) == ("b", COUNT_MAX + 1)
+    assert outcome(reach, net, root, depth, bound) == outcome(ref_reach, net, root, depth, bound)
+
+
+def test_a_firing_that_fills_the_token_bound_exactly_is_kept():
+    """From a: 1 under bound 3, u's growth of 2 is exactly the room left."""
+    net = Net.build(["a"], {"u": ({}, {"a": 2})})
+    root = Multiset({"a": 1})
+    graph = reach(net, root, 3, 3)
+    assert graph.edges == ((root, "u", Multiset({"a": 3})),) and graph.truncated
+    assert graph == ref_reach(net, root, 3, 3)
+
+
+def test_edges_are_counted_as_they_are_iterated(loop_net, ms):
+    """The flat firing arrays: one offset per node and a closing one, and
+    ``len(graph.edges)`` is the number of triples the view yields."""
+    game = TokenGame(loop_net, ms(p1=2))
+    graph = explore(game, game.vector(ms(p1=2)), depth_bound=6, token_bound=8)
+    assert len(graph.first) == len(graph.nodes) + 1
+    assert graph.first[0] == 0 and graph.first[-1] == len(graph.targets)
+    triples = list(graph.edges)
+    assert len(graph.edges) == len(triples) == len(graph.labels) > 0
+    assert len(ref_reach(loop_net, ms(p1=2), 6, 8).edges) == len(triples)
 
 
 def test_pool_overflow_is_reported_with_its_symbol():

@@ -1,0 +1,246 @@
+"""Line coverage of ``src/mananets`` under the tier-1 tests, with the standard library only.
+
+The script runs pytest in this process on ``tests/`` with a
+``sys.settrace`` tracer that records every line run in a module of
+``src/mananets``. A module's executable lines are the line numbers of
+every code object compiled from its source (``co_lines()``). It prints
+each executable line that never ran, with the function it belongs to.
+A line that is known to stay unreached is listed in :data:`UNREACHED`
+with the reason; the listing marks it as known. Run it by hand, from
+anywhere, with pytest and Hypothesis installed::
+
+    python3 mutation/coverage.py            # tier-1 with the tracer on
+    python3 mutation/coverage.py -k laws    # extra arguments go to pytest
+
+It takes two to three times as long as tier-1 does without the tracer. The
+exit status is 0 when the tests pass, every unreached line is listed and
+every listed line is still unreached; 1 otherwise. A run with extra
+pytest arguments leaves more lines unreached, so read its listing, not
+its status.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+PACKAGE = ROOT / "src" / "mananets"
+
+UNTESTED = "no tier-1 test gives "
+
+#: Lines that tier-1 never runs, by module file, owning function and line
+#: text (stripped), with the reason each stays unreached. One entry covers
+#: every unreached line of that function with that text.
+UNREACHED: dict[tuple[str, str, str], str] = {
+    ('cli.py', 'cmd_fire',
+     '_diag("document has no marking to fire from")'):
+        UNTESTED + "`fire` on a document without a marking",
+    ('cli.py', 'cmd_fire',
+     'return USAGE_ERROR'):
+        UNTESTED + "`fire` on a document without a marking",
+    ('cli.py', 'cmd_externalize',
+     '_diag("a built-net document must not carry a pool; its mana lives on places")'):
+        UNTESTED + "`externalize` on a built net that carries a pool",
+    ('cli.py', 'cmd_externalize',
+     'return USAGE_ERROR'):
+        UNTESTED + "`externalize` on a built net that carries a pool",
+    ('cli.py', '_count',
+     'except ValueError:'):
+        UNTESTED + "a count option that is not an integer",
+    ('cli.py', '_count',
+     'raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None'):
+        UNTESTED + "a count option that is not an integer",
+    ('cli.py', '<module>',
+     'sys.exit(main())'):
+        "the CLI runs as a script only in subprocesses, which are not traced",
+    ('execution.py', 'enabled',
+     'raise UnknownSymbolError(transition, "transitions")'):
+        UNTESTED + "`enabled` with a transition the net lacks",
+    ('execution.py', 'concat_traces',
+     'raise ValueError("traces live on different nets")'):
+        UNTESTED + "`concat_traces` on traces that do not compose",
+    ('execution.py', 'concat_traces',
+     'raise ValueError("traces do not compose: end marking differs from start marking")'):
+        UNTESTED + "`concat_traces` on traces that do not compose",
+    ('execution.py', 'trace_equivalent',
+     'return False'):
+        (UNTESTED + "traces on two different nets; the return after the run_trace "
+         "test cannot run: equal occurrence counts from one marking end in one "
+         "marking, and the run_trace calls are there to raise on an invalid trace"),
+    ('functors.py', 'validate_functor',
+     'return out'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('functors.py', 'validate_functor',
+     'out.append(Violation("unmapped-place", p))'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('functors.py', 'validate_functor',
+     'continue'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('functors.py', 'validate_functor',
+     'out.append(Violation("unknown-target-place", symbol, f"image of {p}"))'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('functors.py', 'validate_functor',
+     'out.append(Violation("unmapped-transition", t))'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('functors.py', 'validate_functor',
+     'out.append(Violation("endpoint-mismatch", t, "source marking"))'):
+        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
+        " tested",
+    ('internal.py', 'is_mana_place_name',
+     'name = name[len("outer-"):]'):
+        UNTESTED + "a mana place name with an outer- prefix",
+    ('internal.py', '_lift_form',
+     'raise ValueError("mana nets do not match the functor\'s boundary nets")'):
+        UNTESTED + "`lift_functor` with mana nets of other boundary nets",
+    ('internal.py', '_lift_form',
+     'else (_wrap(start) + _wrap(mana))._entries)'):
+        UNTESTED + "a lifted image whose start already holds a target mana place",
+    ('multiset.py', 'Multiset.__init__',
+     'raise TypeError(f"symbols must be strings, got {symbol!r}")'):
+        UNTESTED + "a symbol that is not a string",
+    ('multiset.py', 'Multiset.sum',
+     'raise CountOverflowError(symbol, total)'):
+        UNTESTED + "`Multiset.sum` past COUNT_MAX",
+    ('multiset.py', 'Multiset.__add__',
+     'return NotImplemented'):
+        UNTESTED + "`+` with an operand that is not a Multiset",
+    ('multiset.py', 'Multiset.__mul__',
+     'return NotImplemented'):
+        UNTESTED + "`*` by a bool, a non-int or a negative int",
+    ('multiset.py', 'Multiset.__mul__',
+     'raise ValueError(f"scale factor must be >= 0, got {n}")'):
+        UNTESTED + "`*` by a bool, a non-int or a negative int",
+    ('multiset.py', 'Multiset.__le__',
+     'return NotImplemented'):
+        UNTESTED + "`<=` with an operand that is not a Multiset",
+    ('multiset.py', 'Multiset.__ge__',
+     'if not isinstance(other, Multiset):'):
+        "neither the library nor the tests compare multisets with >=",
+    ('multiset.py', 'Multiset.__ge__',
+     'return NotImplemented'):
+        "neither the library nor the tests compare multisets with >=",
+    ('multiset.py', 'Multiset.__ge__',
+     'return other.__le__(self)'):
+        "neither the library nor the tests compare multisets with >=",
+    ('net.py', '_lift_in_order',
+     'return counts'):
+        ("runs only after the fast lift met an unknown symbol or an overflow in "
+         "the same entries, so it always raises before this line"),
+    ('net.py', 'validate_morphism',
+     'out.append(Violation(v.kind, v.subject, f"source net: {v.detail}".rstrip(": ")))'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'validate_morphism',
+     'out.append(Violation(v.kind, v.subject, f"target net: {v.detail}".rstrip(": ")))'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'validate_morphism',
+     'return out'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'validate_morphism',
+     'out.append(Violation("unmapped-place", p))'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'validate_morphism',
+     'out.append(Violation("unknown-target-transition", fmap[t], f"image of {t}"))'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'validate_morphism',
+     'out.append(Violation("square-fails", t, "post"))'):
+        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
+        " are tested",
+    ('net.py', 'compose_morphisms',
+     'raise ValueError("morphisms are not composable: target/source nets differ")'):
+        UNTESTED + "`compose_morphisms` of morphisms that do not compose",
+}
+
+
+def executable_lines(path: Path) -> dict[int, str]:
+    """``{line: qualified name of the code that owns it}`` for a module."""
+    owners: dict[int, str] = {}
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        name = getattr(code, "co_qualname", code.co_name)
+        for _, _, line in code.co_lines():
+            if line is not None:
+                owners.setdefault(line, name)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return owners
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest under the tracer: its exit code and the lines run per file."""
+    prefix = str(PACKAGE) + os.sep
+    ran: dict[str, set[int]] = {}
+    local_tracers = {}  # one per file, each adding to that file's line set
+
+    def local_tracer(lines: set[int]):
+        def local(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+        return local
+
+    def tracer(frame, event, arg):
+        filename = frame.f_code.co_filename
+        local = local_tracers.get(filename)
+        if local is None:
+            if not filename.startswith(prefix):
+                return None
+            local = local_tracers[filename] = local_tracer(ran.setdefault(filename, set()))
+        local(frame, "line", arg)  # the call itself runs the frame's first line
+        return local
+
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+
+    os.chdir(ROOT)
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return int(code), ran
+
+
+def main(argv: list[str]) -> int:
+    code, ran = run_traced(argv or ["tests"])
+    used = set()
+    unlisted = 0
+    print()
+    for path in sorted(PACKAGE.glob("*.py")):
+        run = ran.get(str(path), set())
+        source = path.read_text(encoding="utf-8").splitlines()
+        for line, owner in sorted(executable_lines(path).items()):
+            if line in run:
+                continue
+            key = (path.name, owner, source[line - 1].strip())
+            reason = UNREACHED.get(key)
+            if reason is None:
+                unlisted += 1
+                reason = "NOT LISTED"
+            used.add(key)
+            print(f"{path.relative_to(ROOT)}:{line}  {owner}  {key[2]}\n    {reason}")
+    stale = [key for key in UNREACHED if key not in used]
+    for name, owner, text in stale:
+        print(f"STALE  {name}  {owner}  {text}: listed, but it ran or is gone")
+    print(f"pytest exit code {code}; {unlisted} unreached lines not listed; "
+          f"{len(stale)} stale entries")
+    return 0 if code == 0 and not unlisted and not stale else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

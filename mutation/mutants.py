@@ -237,6 +237,16 @@ MUTANTS = [
                "            counts[symbol] = total\n\n\ndef run_trace",
         "kill": ["tests/test_execution.py::test_check_only_walk_names_each_error_as_replay_does"],
     },
+    # -- the trace-class search ---------------------------------------------
+    {
+        "name": "swap search: a swap is taken without checking that u fires after v",
+        "file": "src/mananets/execution.py",
+        "old": "            if not net.pre[u] <= after_v + net.post[v]:\n"
+               "                continue\n",
+        "new": "",
+        "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
+                 "tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[12]"],
+    },
     # -- the compiled walk ----------------------------------------------------
     {
         "name": "walk on steps: enabled with one token short",
@@ -304,6 +314,52 @@ MUTANTS = [
         "new": "        if type(c) is not int or type(p) is not Multiset:\n",
         "kill": ["tests/test_external.py::test_span_of_trace_raises_at_the_first_offending_step"
                  "[steps2-consume2-produce2-error2]"],
+    },
+    # -- the law checks' memo of folded spans -------------------------------
+    {
+        "name": "law memo: keyed by the set of steps",
+        "file": "src/mananets/external.py",
+        "old": "    span = spans.get(steps)\n"
+               "    if span is None:\n"
+               "        span = spans[steps] = _span_of_steps(policy, steps)\n",
+        "new": "    span = spans.get(frozenset(steps))\n"
+               "    if span is None:\n"
+               "        span = spans[frozenset(steps)] = _span_of_steps(policy, steps)\n",
+        "kill": ["tests/test_external.py::test_functor_laws_generalized",
+                 "tests/test_external.py::test_laxator_naturality_samples"],
+    },
+    {
+        "name": "law memo: keyed by the occurrence counts, not the ordered steps",
+        "file": "src/mananets/external.py",
+        "old": "    span = spans.get(steps)\n"
+               "    if span is None:\n"
+               "        span = spans[steps] = _span_of_steps(policy, steps)\n",
+        "new": "    span = spans.get(tuple(sorted(steps)))\n"
+               "    if span is None:\n"
+               "        span = spans[tuple(sorted(steps))] = _span_of_steps(policy, steps)\n",
+        "kill": ["tests/test_external.py::test_law_checks_fold_each_step_order_apart"],
+    },
+    {
+        "name": "law memo: a glued-back step tuple is not walked again",
+        "file": "src/mananets/external.py",
+        "old": "        _check_trace(trace)  # an invalid trace still raises NotEnabledError\n"
+               "        if steps in glued_back:\n"
+               "            continue\n",
+        "new": "        if steps in glued_back:\n"
+               "            continue\n"
+               "        _check_trace(trace)  # an invalid trace still raises NotEnabledError\n",
+        "kill": ["tests/test_external.py::"
+                 "test_a_repeated_step_tuple_is_still_walked_from_its_own_marking"],
+    },
+    {
+        "name": "law memo: kept at module scope across calls",
+        "file": "src/mananets/external.py",
+        "old": "    spans: dict[tuple, AffineSpan] = {}  # this call's folds, by ordered steps\n"
+               "    identity_witness = None\n",
+        "new": "    spans = globals().setdefault(\"_SPANS\", {})\n"
+               "    identity_witness = None\n",
+        "kill": ["tests/test_external.py::test_consecutive_calls_fold_under_their_own_policy",
+                 "tests/test_external.py::test_consecutive_calls_report_their_own_spans"],
     },
     # -- the document boundary ----------------------------------------------
     {

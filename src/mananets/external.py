@@ -198,27 +198,35 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
 
     The empty trace must map to the identity span, and splitting any
     sampled trace at any point must compose back to the whole trace's
-    span. Each cut folds the head ``steps[:cut]`` and the tail
-    ``steps[cut:]`` afresh, the same fold :func:`span_of_trace` runs. The
-    span of the empty trace does not depend on its marking, so the
-    identity law is checked once, on the first sample's initial marking,
-    and passes when there are no samples.
+    span. The span of the empty trace does not depend on its marking, so
+    the identity law is checked once, on the first sample's initial
+    marking, and passes when there are no samples. Each distinct step
+    tuple (the empty one, a whole trace, a head ``steps[:cut]`` or a tail
+    ``steps[cut:]``) is folded once per call, as :func:`span_of_trace`
+    folds it. A span depends only on the policy and the ordered steps, so
+    a sample whose steps an earlier sample already glued back at every
+    cut is not cut again; every sample is still walked from its own
+    initial marking, in sample order.
     """
+    spans: dict[tuple, AffineSpan] = {}  # this call's folds, by ordered steps
     identity_witness = None
     if sample_traces:
-        initial = sample_traces[0].initial
-        span = span_of_trace(policy, Trace(net, initial, ()))
+        span = _folded(spans, policy, ())
         if span != AffineSpan.identity():
-            identity_witness = {"initial": initial.as_dict(), "span": _span_dict(span)}
+            identity_witness = {"initial": sample_traces[0].initial.as_dict(),
+                                "span": _span_dict(span)}
 
+    glued_back: set[tuple] = set()
     composition_witness = None
     for index, trace in enumerate(sample_traces):
         steps = trace.steps
-        whole = span_of_trace(policy, trace)
+        whole = _folded(spans, policy, steps)
         _check_trace(trace)  # an invalid trace still raises NotEnabledError
+        if steps in glued_back:
+            continue
         for cut in range(len(steps) + 1):
-            glued = compose_spans(_span_of_steps(policy, steps[:cut]),
-                                  _span_of_steps(policy, steps[cut:]))
+            glued = compose_spans(_folded(spans, policy, steps[:cut]),
+                                  _folded(spans, policy, steps[cut:]))
             if glued != whole:
                 composition_witness = {"sample": index, "cut": cut,
                                        "whole": _span_dict(whole),
@@ -226,6 +234,7 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
                 break
         if composition_witness:
             break
+        glued_back.add(steps)
 
     return LawReport((
         law_result("identity", identity_witness),
@@ -240,13 +249,15 @@ def check_laxator_naturality(net: Net, policy: ManaPolicy,
     For traces f, g run side by side: acting on two pools separately and
     then merging must agree with merging first and acting by the span of
     the combined trace. The span-level identity is checked always; the
-    pool-level one whenever both separate actions are defined.
+    pool-level one whenever both separate actions are defined. Each
+    distinct step tuple is folded once per call.
     """
+    spans: dict[tuple, AffineSpan] = {}  # this call's folds, by ordered steps
     results = []
     for index, (t1, t2, pool1, pool2) in enumerate(samples):
-        span1 = span_of_trace(policy, t1)
-        span2 = span_of_trace(policy, t2)
-        span12 = _span_of_steps(policy, t1.steps + t2.steps)
+        span1 = _folded(spans, policy, t1.steps)
+        span2 = _folded(spans, policy, t2.steps)
+        span12 = _folded(spans, policy, t1.steps + t2.steps)
         witness = None
         if span12 != compose_spans(span1, span2):
             witness = {"sample": index,
@@ -267,6 +278,15 @@ def check_laxator_naturality(net: Net, policy: ManaPolicy,
     if not samples:
         results.append(LawResult("laxator-naturality", "pass"))
     return LawReport(tuple(results))
+
+
+def _folded(spans: dict, policy: ManaPolicy, steps: tuple) -> AffineSpan:
+    # The span of `steps` from a law check's own memo, keyed by the ordered
+    # steps: a fold that came to depend on step order would stay right.
+    span = spans.get(steps)
+    if span is None:
+        span = spans[steps] = _span_of_steps(policy, steps)
+    return span
 
 
 def _span_dict(span: AffineSpan) -> dict:

@@ -364,3 +364,60 @@ def test_dsl_counts_at_the_bound_allowed():
                              f"marking: {COUNT_MAX} A\npool: u={COUNT_MAX}")
     assert doc.net.pre["u"]["A"] == doc.net.post["u"]["B"] == COUNT_MAX
     assert doc.marking["A"] == doc.pool["u"] == COUNT_MAX
+
+
+@pytest.mark.parametrize("data, message, path", [
+    pytest.param("[]", "document must be a JSON object", "$", id="not-an-object"),
+    pytest.param('{"places": "A", "transitions": {}}',
+                 "'places' must be a list of strings", "$.places", id="places-not-a-list"),
+    pytest.param('{"places": ["A", "B", "A"], "transitions": {}}',
+                 "duplicate place 'A'", "$.places", id="duplicate-place"),
+    pytest.param(b'{"places": ["\xff"], "transitions": {}}',
+                 "document is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 13: invalid start byte", None, id="not-utf-8"),
+    pytest.param('{"places": []}', "document needs 'places' and 'transitions'", "$",
+                 id="no-transitions"),
+    pytest.param('{"places": [], "transitions": []}', "'transitions' must be an object",
+                 "$.transitions", id="transitions-not-an-object"),
+    pytest.param('{"places": [], "transitions": {"u": 1}}', "transition must be an object",
+                 "$.transitions.u", id="transition-not-an-object"),
+    pytest.param('{"places": [], "transitions": {"u": {"pre": {}}}}', "missing key 'post'",
+                 "$.transitions.u", id="missing-post"),
+    pytest.param('{"places": [], "transitions": {"u": {"pre": [], "post": {}}}}',
+                 "multiset must be an object", "$.transitions.u.pre", id="pre-not-an-object"),
+    pytest.param('{"places": [], "transitions": {}, "mana": []}', "'mana' must be an object",
+                 "$.mana", id="mana-not-an-object"),
+    pytest.param('{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, '
+                 '"mana": {"u": 1}}', "mana entry must be an object", "$.mana.u",
+                 id="mana-entry-not-an-object"),
+    pytest.param('{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, '
+                 '"mana": {"u": {"cost": 1}}}', "unknown key 'cost'", "$.mana.u.cost",
+                 id="unknown-mana-key"),
+    pytest.param('{"places": [], "transitions": {"u": {"pre": {}, "post": {}}}, '
+                 '"mana": {"u": {"consume": -1}}}', "'consume' must be a non-negative integer",
+                 "$.mana.u.consume", id="negative-consume"),
+])
+def test_json_document_rejections_are_pinned(data, message, path):
+    with pytest.raises(DocumentError) as err:
+        parse_json(data)
+    assert (err.value.message, err.value.path, err.value.line, err.value.col) == \
+        (message, path, None, None)
+    assert str(err.value) == message + ("" if path is None else f" at {path}")
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    pytest.param("u: A ->", "unexpected end of line", 1, 6, id="end-of-line"),
+    pytest.param("u: A B", "expected '->', found 'B'", 1, 6, id="no-arrow"),
+    pytest.param("u: A -> B\npool: u=1 u=2", "duplicate pool entry 'u'", 2, 11,
+                 id="duplicate-pool-entry"),
+    pytest.param("u: A -> B cost: consume 1", "expected 'mana:', found 'cost'", 1, 11,
+                 id="not-a-mana-clause"),
+    pytest.param("u: A -> B mana: consume 1, make {u: 1}", "expected 'produce', found 'make'",
+                 1, 28, id="not-a-produce-clause"),
+    pytest.param("marking: A B", "unexpected trailing input 'B'", 1, 12, id="trailing-input"),
+])
+def test_dsl_rejections_are_pinned(text, message, line, col):
+    with pytest.raises(DocumentError) as err:
+        parse_reaction_dsl(text)
+    assert (err.value.message, err.value.path, err.value.line, err.value.col) == \
+        (message, None, line, col)

@@ -14,7 +14,8 @@ from mananets.errors import CountOverflowError, NotEnabledError, UnknownSymbolEr
 from mananets.execution import replay
 from mananets.reports import LawReport, law_result
 from mananets.multiset import COUNT_MAX
-from mananets.sampling import random_marking, random_net, random_policy, random_trace
+from mananets.sampling import (random_marking, random_net, random_policy, random_state,
+                                random_trace)
 
 pools = st.dictionaries(st.sampled_from(["u", "v", "w"]), st.integers(1, 5),
                         max_size=3).map(Multiset)
@@ -487,8 +488,46 @@ def produce_dropping_compose(monkeypatch, policy):
     return policy
 
 
+def empty_fold_unit(monkeypatch, policy):
+    """The fold of no steps produces one unit of ``x``, so the empty trace
+    is no identity and every glued cut carries an extra unit."""
+    real = external._span_of_steps
+
+    def faulty(policy, steps):
+        span = real(policy, steps)
+        return span if steps else AffineSpan(span.consume, span.produce + Multiset({"x": 1}))
+
+    monkeypatch.setattr(external, "_span_of_steps", faulty)
+    return policy
+
+
+def sequential_span(monkeypatch, policy):
+    """The fold composes step spans as affine partial maps in sequence: a
+    step's consume first takes what earlier steps produced, so the span
+    depends on the order of the steps, not only on their counts."""
+    real = external._span_of_steps
+
+    def faulty(policy, steps):
+        consume: dict = {}
+        produce: dict = {}
+        for transition in steps:
+            step = real(policy, (transition,))
+            for symbol, n in step.consume.items():
+                used = min(n, produce.get(symbol, 0))
+                produce[symbol] = produce.get(symbol, 0) - used
+                consume[symbol] = consume.get(symbol, 0) + n - used
+            for symbol, n in step.produce.items():
+                produce[symbol] = produce.get(symbol, 0) + n
+        return AffineSpan(Multiset({s: n for s, n in consume.items() if n}),
+                          Multiset({s: n for s, n in produce.items() if n}))
+
+    monkeypatch.setattr(external, "_span_of_steps", faulty)
+    return policy
+
+
 SPAN_FAULTS = {"clean": None, "span": overcounting_span, "fallback": every_consume_delegated,
-               "compose": produce_dropping_compose}
+               "compose": produce_dropping_compose, "empty": empty_fold_unit,
+               "order": sequential_span}
 
 
 @pytest.mark.parametrize("fault", sorted(SPAN_FAULTS))
@@ -563,6 +602,186 @@ def test_laxator_naturality_does_not_add_the_initial_markings():
     pool = Multiset({"u": 2})
     report = check_laxator_naturality(net, ManaPolicy.plain(net), [(t1, t2, pool, pool)])
     assert report.ok, report.results
+
+
+# -- the laxator check against a fresh-fold reference -------------------------
+
+
+def reference_check_laxator_naturality(net, policy, samples):
+    """The laxator check with every span folded afresh.
+
+    `span_of_trace`, `compose_spans` and `laxator` are looked up on the
+    module at call time, so a monkeypatched fault reaches this reference
+    and the library alike.
+    """
+    results = []
+    for index, (t1, t2, pool1, pool2) in enumerate(samples):
+        span1 = external.span_of_trace(policy, t1)
+        span2 = external.span_of_trace(policy, t2)
+        span12 = external.span_of_trace(policy, Trace(net, EMPTY, t1.steps + t2.steps))
+        composed = external.compose_spans(span1, span2)
+        witness = None
+        if span12 != composed:
+            witness = {"sample": index, "combined": external._span_dict(span12),
+                       "composed": external._span_dict(composed)}
+        else:
+            left1, left2 = span1.apply(pool1), span2.apply(pool2)
+            if left1 is not None and left2 is not None:
+                acted = external.laxator(left1, left2)
+                merged = span12.apply(external.laxator(pool1, pool2))
+                if merged != acted:
+                    witness = {"sample": index, "acted-then-merged": acted.as_dict(),
+                               "merged-then-acted": None if merged is None else merged.as_dict()}
+        results.append(law_result("laxator-naturality", witness))
+    if not samples:
+        results.append(law_result("laxator-naturality", None))
+    return LawReport(tuple(results))
+
+
+def laxator_samples(rng, net, count):
+    """Samples drawn as ``check-laws`` draws them."""
+    return [(random_trace(rng, net, random_marking(rng, net, 4)),
+             random_trace(rng, net, random_marking(rng, net, 4)),
+             random_state(rng, net).pool, random_state(rng, net).pool)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("fault", sorted(SPAN_FAULTS))
+@pytest.mark.parametrize("seed", range(16))
+def test_laxator_check_matches_fresh_fold_reference(seed, fault, monkeypatch):
+    rng = random.Random(seed)
+    net = random_net(rng)
+    policy = random_policy(rng, net)
+    samples = laxator_samples(rng, net, 8)
+    samples.append(samples[seed % 8])  # a repeated sample is judged again
+    if SPAN_FAULTS[fault] is not None:
+        policy = SPAN_FAULTS[fault](monkeypatch, policy)
+    got = laws_outcome(check_laxator_naturality, net, policy, samples)
+    assert got == laws_outcome(reference_check_laxator_naturality, net, policy, samples)
+
+
+def test_identity_law_fails_with_its_witness(loop_net, loop_policy, ms, monkeypatch):
+    traces = [Trace(loop_net, ms(p3=1), ("u3",)), Trace(loop_net, ms(p1=2), ())]
+    empty_fold_unit(monkeypatch, loop_policy)
+    got = check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == reference_check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == [
+        {"law": "identity", "status": "fail",
+         "counterexample": {"initial": {"p3": 1},
+                            "span": {"consume": {}, "produce": {"x": 1}}}},
+        {"law": "composition", "status": "fail",
+         "counterexample": {"sample": 0, "cut": 0,
+                            "whole": {"consume": {"u3": 1}, "produce": {"u3": 1}},
+                            "glued": {"consume": {"u3": 1}, "produce": {"u3": 1, "x": 1}}}},
+    ]
+
+
+def union_laxator(monkeypatch):
+    """Merging takes the larger count of each symbol instead of the sum."""
+    monkeypatch.setattr(external, "laxator", lambda a, b: Multiset(
+        {s: max(a[s], b[s]) for s in sorted(set(a.support()) | set(b.support()))}))
+
+
+@pytest.mark.parametrize("fault, pool, witness", [
+    pytest.param(overcounting_span, 2,
+                 {"sample": 0, "combined": {"consume": {"u": 3}, "produce": {}},
+                  "composed": {"consume": {"u": 2}, "produce": {}}}, id="combined-composed"),
+    pytest.param(None, 2,
+                 {"sample": 0, "acted-then-merged": {"u": 1}, "merged-then-acted": {}},
+                 id="acted-merged"),
+    pytest.param(None, 1,
+                 {"sample": 0, "acted-then-merged": {}, "merged-then-acted": None},
+                 id="acted-merged-undefined"),
+])
+def test_laxator_naturality_fails_with_each_witness(abc_net, plain, ms, monkeypatch,
+                                                    fault, pool, witness):
+    trace = Trace(abc_net, ms(A=1, B=1), ("u",))
+    samples = [(trace, trace, ms(u=pool), ms(u=pool))]
+    if fault is None:
+        union_laxator(monkeypatch)
+    else:
+        fault(monkeypatch, plain)
+    got = check_laxator_naturality(abc_net, plain, samples).to_json_list()
+    assert got == reference_check_laxator_naturality(abc_net, plain, samples).to_json_list()
+    assert got == [{"law": "laxator-naturality", "status": "fail", "counterexample": witness}]
+
+
+# -- the per-call memo of folded spans ----------------------------------------
+
+
+def test_consecutive_calls_fold_under_their_own_policy(abc_net, plain, ms):
+    trace = Trace(abc_net, ms(A=2, B=2), ("u", "u"))
+    assert check_functor_laws(abc_net, plain, [trace]).ok
+    assert check_laxator_naturality(abc_net, plain, [(trace, trace, EMPTY, EMPTY)]).ok
+    unknown = ManaPolicy({}, {})  # knows no transition: every non-empty fold raises
+    for check, sample in ((check_functor_laws, trace),
+                          (check_laxator_naturality, (trace, trace, EMPTY, EMPTY))):
+        with pytest.raises(UnknownSymbolError) as err:
+            check(abc_net, unknown, [sample])
+        assert str(err.value) == "unknown symbol 'u' in mana policy"
+
+
+def test_consecutive_calls_report_their_own_spans(abc_net, ms, monkeypatch):
+    trace = Trace(abc_net, ms(A=2, B=2), ("u", "u"))
+    twice = ManaPolicy({"u": 2}, {"u": EMPTY})
+    overcounting_span(monkeypatch, twice)
+    first = check_functor_laws(abc_net, ManaPolicy.plain(abc_net), [trace]).to_json_list()
+    second = check_functor_laws(abc_net, twice, [trace]).to_json_list()
+    assert first[1]["counterexample"]["whole"] == {"consume": {"u": 3}, "produce": {}}
+    assert second[1]["counterexample"]["whole"] == {"consume": {"u": 5}, "produce": {}}
+
+
+def test_law_checks_fold_each_step_order_apart(loop_net, loop_policy, ms, monkeypatch):
+    # Under a fold that depends on order, u4 then u3 feeds u3's consume
+    # from u4's produce, while u3 then u4 does not: equal occurrence
+    # counts, different spans.
+    sequential_span(monkeypatch, loop_policy)
+    both = ms(p3=1, p4=1)
+    traces = [Trace(loop_net, both, ("u3", "u4")), Trace(loop_net, both, ("u4", "u3"))]
+    got = check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == reference_check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got[1]["counterexample"] == {
+        "sample": 1, "cut": 1,
+        "whole": {"consume": {"u4": 1}, "produce": {"u2": 1, "u3": 1}},
+        "glued": {"consume": {"u3": 1, "u4": 1}, "produce": {"u2": 1, "u3": 2}}}
+    u3, u4 = Trace(loop_net, ms(p3=1), ("u3",)), Trace(loop_net, ms(p4=1), ("u4",))
+    samples = [(u3, u4, EMPTY, EMPTY), (u4, u3, EMPTY, EMPTY)]
+    got = check_laxator_naturality(loop_net, loop_policy, samples).to_json_list()
+    assert got == reference_check_laxator_naturality(loop_net, loop_policy,
+                                                      samples).to_json_list()
+    assert [entry["status"] for entry in got] == ["pass", "fail"]
+
+
+def test_a_repeated_step_tuple_is_still_walked_from_its_own_marking(abc_net, plain, ms):
+    fires = Trace(abc_net, ms(A=2, B=2), ("u", "u"))
+    stuck = Trace(abc_net, ms(A=1, B=1), ("u", "u"))
+    traces = [fires, fires, stuck]
+    got = laws_outcome(check_functor_laws, abc_net, plain, traces)
+    assert got == laws_outcome(reference_check_functor_laws, abc_net, plain, traces)
+    assert got == (NotEnabledError, "transition 'u' is not enabled (step 1)")
+
+
+def test_the_first_failing_sample_keeps_the_witness(loop_net, loop_policy, ms, monkeypatch):
+    once = Trace(loop_net, ms(p3=1), ("u3",))
+    twice = Trace(loop_net, ms(p3=2), ("u3", "u3"))
+    again = Trace(loop_net, ms(p3=3), ("u3", "u3"))
+    traces = [once, twice, once, again]
+    overcounting_span(monkeypatch, loop_policy)
+    got = check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got == reference_check_functor_laws(loop_net, loop_policy, traces).to_json_list()
+    assert got[1]["counterexample"] == {
+        "sample": 1, "cut": 1,
+        "whole": {"consume": {"u3": 3}, "produce": {"u3": 2}},
+        "glued": {"consume": {"u3": 2}, "produce": {"u3": 2}}}
+    none = Trace(loop_net, ms(p3=1), ())
+    samples = [(once, once, EMPTY, EMPTY), (none, once, EMPTY, EMPTY),
+               (once, once, EMPTY, EMPTY)]
+    got = check_laxator_naturality(loop_net, loop_policy, samples).to_json_list()
+    assert got == reference_check_laxator_naturality(loop_net, loop_policy,
+                                                      samples).to_json_list()
+    assert [entry["status"] for entry in got] == ["fail", "pass", "fail"]
+    assert got[0]["counterexample"]["sample"] == 0
+    assert got[2]["counterexample"]["sample"] == 2
 
 
 def test_mana_reach_respects_pool(abc_net, plain, ms):

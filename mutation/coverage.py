@@ -36,12 +36,6 @@ UNTESTED = "no tier-1 test gives "
 #: text (stripped), with the reason each stays unreached. One entry covers
 #: every unreached line of that function with that text.
 UNREACHED: dict[tuple[str, str, str], str] = {
-    ('cli.py', 'cmd_fire',
-     '_diag("document has no marking to fire from")'):
-        UNTESTED + "`fire` on a document without a marking",
-    ('cli.py', 'cmd_fire',
-     'return USAGE_ERROR'):
-        UNTESTED + "`fire` on a document without a marking",
     ('cli.py', 'cmd_externalize',
      '_diag("a built-net document must not carry a pool; its mana lives on places")'):
         UNTESTED + "`externalize` on a built net that carries a pool",
@@ -57,20 +51,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     ('cli.py', '<module>',
      'sys.exit(main())'):
         "the CLI runs as a script only in subprocesses, which are not traced",
-    ('execution.py', 'enabled',
-     'raise UnknownSymbolError(transition, "transitions")'):
-        UNTESTED + "`enabled` with a transition the net lacks",
-    ('execution.py', 'concat_traces',
-     'raise ValueError("traces live on different nets")'):
-        UNTESTED + "`concat_traces` on traces that do not compose",
-    ('execution.py', 'concat_traces',
-     'raise ValueError("traces do not compose: end marking differs from start marking")'):
-        UNTESTED + "`concat_traces` on traces that do not compose",
-    ('execution.py', 'trace_equivalent',
-     'return False'):
-        (UNTESTED + "traces on two different nets; the return after the run_trace "
-         "test cannot run: equal occurrence counts from one marking end in one "
-         "marking, and the run_trace calls are there to raise on an invalid trace"),
     ('functors.py', 'validate_functor',
      'return out'):
         UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
@@ -107,9 +87,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     ('multiset.py', 'Multiset.__init__',
      'raise TypeError(f"symbols must be strings, got {symbol!r}")'):
         UNTESTED + "a symbol that is not a string",
-    ('multiset.py', 'Multiset.sum',
-     'raise CountOverflowError(symbol, total)'):
-        UNTESTED + "`Multiset.sum` past COUNT_MAX",
     ('multiset.py', 'Multiset.__add__',
      'return NotImplemented'):
         UNTESTED + "`+` with an operand that is not a Multiset",
@@ -119,18 +96,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     ('multiset.py', 'Multiset.__mul__',
      'raise ValueError(f"scale factor must be >= 0, got {n}")'):
         UNTESTED + "`*` by a bool, a non-int or a negative int",
-    ('multiset.py', 'Multiset.__le__',
-     'return NotImplemented'):
-        UNTESTED + "`<=` with an operand that is not a Multiset",
-    ('multiset.py', 'Multiset.__ge__',
-     'if not isinstance(other, Multiset):'):
-        "neither the library nor the tests compare multisets with >=",
-    ('multiset.py', 'Multiset.__ge__',
-     'return NotImplemented'):
-        "neither the library nor the tests compare multisets with >=",
-    ('multiset.py', 'Multiset.__ge__',
-     'return other.__le__(self)'):
-        "neither the library nor the tests compare multisets with >=",
     ('net.py', '_lift_in_order',
      'return counts'):
         ("runs only after the fast lift met an unknown symbol or an overflow in "

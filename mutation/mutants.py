@@ -203,47 +203,48 @@ MUTANTS = [
         "kill": ["tests/test_cli.py::test_golden_output[loop-argv3]",
                  "tests/test_cli.py::test_golden_output[pump-argv8]"],
     },
-    # -- the count-dict walk --------------------------------------------------
+    # -- the count-dict walk ------------------------------------------------
+    # Killed by tests that compare the walk's entry points with the
+    # Multiset rule kept in tests/reference_firing.py, not with replay.
     {
         "name": "walk: a pre check that lets a count go one below zero",
         "file": "src/mananets/execution.py",
         "old": "            if left < 0:\n",
         "new": "            if left < -1:\n",
-        "kill": ["tests/test_execution.py::test_identical_invalid_traces_still_raise_with_index",
-                 "tests/test_execution.py::test_check_only_walk_names_each_error_as_replay_does"],
+        "kill": ["tests/test_execution.py::"
+                 "test_each_firing_error_is_named_as_the_reference_names_it"],
     },
     {
         "name": "walk: failing index off by one",
         "file": "src/mananets/execution.py",
-        "old": "                raise NotEnabledError(transition, index)\n"
-               "            counts[symbol] = left\n",
-        "new": "                raise NotEnabledError(transition, index + 1)\n"
-               "            counts[symbol] = left\n",
-        "kill": ["tests/test_execution.py::test_identical_invalid_traces_still_raise_with_index",
-                 "tests/test_execution.py::test_check_only_walk_names_each_error_as_replay_does"],
+        "old": "                raise NotEnabledError(transition, index)\n",
+        "new": "                raise NotEnabledError(transition, index + 1)\n",
+        "kill": ["tests/test_execution.py::"
+                 "test_each_firing_error_is_named_as_the_reference_names_it"],
     },
     {
         "name": "walk: post arcs added in sorted order",
         "file": "src/mananets/execution.py",
-        "old": "        for symbol, count in given._entries.items():\n"
-               "            total = counts.get(symbol, 0) + count\n"
-               "            if total > COUNT_MAX:\n"
-               "                raise CountOverflowError(symbol, total)\n"
-               "            counts[symbol] = total\n\n\ndef run_trace",
-        "new": "        for symbol, count in sorted(given._entries.items()):\n"
-               "            total = counts.get(symbol, 0) + count\n"
-               "            if total > COUNT_MAX:\n"
-               "                raise CountOverflowError(symbol, total)\n"
-               "            counts[symbol] = total\n\n\ndef run_trace",
-        "kill": ["tests/test_execution.py::test_check_only_walk_names_each_error_as_replay_does"],
+        "old": "        for symbol, count in given._entries.items():\n",
+        "new": "        for symbol, count in sorted(given._entries.items()):\n",
+        "kill": ["tests/test_execution.py::"
+                 "test_each_firing_error_is_named_as_the_reference_names_it"],
+    },
+    {
+        "name": "walk: fire re-raises a blocked firing with a step index",
+        "file": "src/mananets/execution.py",
+        "old": "        raise NotEnabledError(transition) from None\n",
+        "new": "        raise NotEnabledError(transition, 0) from None\n",
+        "kill": ["tests/test_execution.py::test_fire_not_enabled_raises",
+                 "tests/test_execution.py::"
+                 "test_each_firing_error_is_named_as_the_reference_names_it"],
     },
     # -- the trace-class search ---------------------------------------------
     {
         "name": "swap search: a swap is taken without checking that u fires after v",
         "file": "src/mananets/execution.py",
-        "old": "            if not net.pre[u] <= after_v + net.post[v]:\n"
-               "                continue\n",
-        "new": "",
+        "old": "                _walk(net, markings[i]._entries, (v, u))\n",
+        "new": "                _walk(net, markings[i]._entries, (v,))\n",
         "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
                  "tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[12]"],
     },
@@ -342,12 +343,12 @@ MUTANTS = [
     {
         "name": "law memo: a glued-back step tuple is not walked again",
         "file": "src/mananets/external.py",
-        "old": "        _check_trace(trace)  # an invalid trace still raises NotEnabledError\n"
+        "old": "        run_trace(trace)  # an invalid trace still raises NotEnabledError\n"
                "        if steps in glued_back:\n"
                "            continue\n",
         "new": "        if steps in glued_back:\n"
                "            continue\n"
-               "        _check_trace(trace)  # an invalid trace still raises NotEnabledError\n",
+               "        run_trace(trace)  # an invalid trace still raises NotEnabledError\n",
         "kill": ["tests/test_external.py::"
                  "test_a_repeated_step_tuple_is_still_walked_from_its_own_marking"],
     },
@@ -477,12 +478,13 @@ MUTANTS = [
     {
         "name": "square: identical square images are not walked",
         "file": "src/mananets/functors.py",
-        "old": "            _check_steps(target, a_start, a_steps)\n",
+        "old": "            _walk(target, a_start, a_steps)\n",
         "new": "            pass\n",
         "kill": ["tests/test_internal.py::"
-                 "test_one_pass_decides_a_square_as_composing_and_comparing[identical-overflow]",
+                 "test_identical_square_images_raise_what_the_reference_replay_raises"
+                 "[identical-overflow]",
                  "tests/test_internal.py::"
-                 "test_one_pass_decides_a_square_as_composing_and_comparing"
+                 "test_identical_square_images_raise_what_the_reference_replay_raises"
                  "[identical-unknown-step]"],
     },
     {

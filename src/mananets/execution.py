@@ -6,18 +6,24 @@ stands for one execution of the net; two traces that differ only in the
 order of independent firings describe the same execution, which is what
 :func:`trace_equivalent` decides, within a budget on the size of a class.
 
-Bounded reachability and random walks run on the net compiled once into
-its incidence form (a :class:`TokenGame`): every symbol that can occur
-gets a coordinate, and every transition becomes the counts it needs and
-the changes it makes. The mana game of :mod:`mananets.external` appends
-the pool as a second segment of the same vector, so :func:`reach`,
-:func:`~mananets.external.mana_reach` and both sides of
-:func:`~mananets.equivalence.check_equivalence` share one kernel, and
-:func:`simulate` and :func:`~mananets.external.mana_simulate` its
-:meth:`~TokenGame.walk`; a malformed arc raises when it is compiled,
-before any search or firing. That check names each coordinate of the
-mana game by its built-net symbol and compares the two games' steps by
-those names before it explores the built net at all.
+The firing rule is coded three times, each for a measured reason; the
+rule on ``Multiset`` values lives in the tests, as the reference for
+all three. Every trace fires on a count dict, in :func:`_walk`: most
+have a step or two on a net seen once, where a compile would cost about
+ten walks. Bounded reachability (:func:`explore`, on packed states) and
+random walks (:meth:`TokenGame.walk`, on a game cached on the net) run
+on the net compiled once into its incidence form (a :class:`TokenGame`):
+every symbol that can occur gets a coordinate, and every transition
+becomes the counts it needs and the changes it makes. The mana game of
+:mod:`mananets.external` appends the pool as a second segment of the
+same vector, so :func:`reach`, :func:`~mananets.external.mana_reach` and
+both sides of :func:`~mananets.equivalence.check_equivalence` share one
+kernel, and :func:`simulate` and
+:func:`~mananets.external.mana_simulate` its :meth:`~TokenGame.walk`; a
+malformed arc raises when it is compiled, before any search or firing.
+That check names each coordinate of the mana game by its built-net
+symbol and compares the two games' steps by those names before it
+explores the built net at all.
 
 :func:`explore` packs each state into one integer, one fixed-width field
 per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
@@ -96,56 +102,54 @@ def enabled(net: Net, marking: Multiset, transition: str) -> bool:
 
 def fire(net: Net, marking: Multiset, transition: str) -> Multiset:
     """Fire one transition atomically; raises NotEnabledError if blocked."""
-    pre, post = net.arcs(transition)
-    rest = marking.minus(pre)
-    if rest is None:
-        raise NotEnabledError(transition)
-    return rest + post
+    try:
+        return _wrap(_walk(net, marking._entries, (transition,)))
+    except NotEnabledError:
+        raise NotEnabledError(transition) from None
 
 
 def replay(trace: Trace) -> list[Multiset]:
     """All intermediate markings, from the initial one to the final one."""
     markings = [trace.initial]
-    for index, transition in enumerate(trace.steps):
-        pre, post = trace.net.arcs(transition)
-        rest = markings[-1].minus(pre)
-        if rest is None:
-            raise NotEnabledError(transition, index)
-        markings.append(rest + post)
+    _walk(trace.net, trace.initial._entries, trace.steps, markings)
     return markings
 
 
-def _check_trace(trace: Trace) -> None:
-    """Raise what :func:`replay` raises on `trace`, building no marking."""
-    _check_steps(trace.net, trace.initial._entries, trace.steps)
+def run_trace(trace: Trace) -> Multiset:
+    """The final marking after replaying every step."""
+    return _wrap(_walk(trace.net, trace.initial._entries, trace.steps))
 
 
-def _check_steps(net: Net, counts: dict, steps: tuple) -> None:
-    """:func:`_check_trace` of the trace from the marking `counts` (left unchanged)."""
-    # Fires on a count dict: most traces checked here have one step on a
-    # net seen once, where a compiled game would cost ten walks. Post is
-    # added in Multiset.__add__ order, so an overflow names replay's symbol.
+def _walk(net: Net, counts: dict, steps, markings: list | None = None) -> dict:
+    """Fire `steps` on a copy of the count dict `counts`; return the final counts.
+
+    Zero counts are dropped. A blocked step raises NotEnabledError with
+    its index. Post arcs are added in ``Multiset.__add__`` order, so an
+    overflow names the symbol that addition would. Given a list, each
+    intermediate marking is appended to `markings`.
+    """
     counts = dict(counts)
     pre, post = net.pre, net.post
     for index, transition in enumerate(steps):
         taken, given = pre.get(transition), post.get(transition)
         if taken is None or given is None:
-            taken, given = net.arcs(transition)  # raises what replay raises
+            taken, given = net.arcs(transition)  # raises UnknownSymbolError
         for symbol, need in taken._entries.items():
             left = counts.get(symbol, 0) - need
             if left < 0:
                 raise NotEnabledError(transition, index)
-            counts[symbol] = left
+            if left:
+                counts[symbol] = left
+            else:
+                del counts[symbol]
         for symbol, count in given._entries.items():
             total = counts.get(symbol, 0) + count
             if total > COUNT_MAX:
                 raise CountOverflowError(symbol, total)
             counts[symbol] = total
-
-
-def run_trace(trace: Trace) -> Multiset:
-    """The final marking after replaying every step."""
-    return replay(trace)[-1]
+        if markings is not None:
+            markings.append(_wrap(dict(counts)))
+    return counts
 
 
 def concat_traces(first: Trace, second: Trace) -> Trace:
@@ -185,16 +189,18 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
         return False
     if t1.initial != t2.initial:
         return False
+    net = t1.net
     if t1.steps == t2.steps:
-        _check_trace(t1)  # an invalid trace still raises NotEnabledError
+        _walk(net, t1.initial._entries, t1.steps)  # an invalid trace still raises
         return True
     if occurrence_multiset(t1) != occurrence_multiset(t2):
         return False
-    if run_trace(t1) != run_trace(t2):
-        return False
+    # Equal occurrences from one marking end in one marking, so these walks
+    # compare nothing: they raise on an invalid trace.
+    _walk(net, t1.initial._entries, t1.steps)
+    _walk(net, t2.initial._entries, t2.steps)
 
     budget = TRACE_CLASS_BUDGET
-    net = t1.net
     goal = t2.steps
     seen = {t1.steps}
     queue = deque([t1.steps])
@@ -205,11 +211,10 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
             u, v = steps[i], steps[i + 1]
             if u == v:
                 continue
-            # Swap is legal only if the pair replays in the other order.
-            after_v = markings[i].minus(net.pre[v])
-            if after_v is None:
-                continue
-            if not net.pre[u] <= after_v + net.post[v]:
+            # Swap is legal only if the pair fires in the other order.
+            try:
+                _walk(net, markings[i]._entries, (v, u))
+            except NotEnabledError:
                 continue
             swapped = steps[:i] + (v, u) + steps[i + 2:]
             if swapped == goal:

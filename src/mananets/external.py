@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CountOverflowError, NotManaEnabledError, UnknownSymbolError
-from .execution import ReachGraph, TokenGame, Trace, _check_trace, enabled, fire
+from .execution import ReachGraph, TokenGame, Trace, enabled, fire, run_trace
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
 from .net import Net
@@ -221,7 +221,7 @@ def check_functor_laws(net: Net, policy: ManaPolicy,
     for index, trace in enumerate(sample_traces):
         steps = trace.steps
         whole = _folded(spans, policy, steps)
-        _check_trace(trace)  # an invalid trace still raises NotEnabledError
+        run_trace(trace)  # an invalid trace still raises NotEnabledError
         if steps in glued_back:
             continue
         for cut in range(len(steps) + 1):

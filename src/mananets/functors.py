@@ -15,14 +15,13 @@ the outer step tuples (Meseguer and Montanari, *Petri nets are monoids*,
 1990); comparison checks the object maps for equality and hands each
 pair of transition images to ``trace_equivalent`` as traces built for
 that call only, a pair of identical images as one trace on both sides,
-which it settles with a check-only walk that raises what
-:func:`~mananets.execution.replay` raises but builds no marking. A
-square, two composites that should agree, is decided in one pass over
-the generators (:func:`_compare_composites`) that builds neither
-composite and walks a pair of identical images itself, on their count
-dict; at a boundary mismatch, or at the first generator that differs
-or raises, it composes and compares after all, so its witness or error
-is exactly theirs.
+which it settles by firing the image once, on its count dict, with the
+firing rule of traces (:mod:`mananets.execution`). A square, two
+composites that should agree, is decided in one pass over the generators
+(:func:`_compare_composites`) that builds neither composite and walks a
+pair of identical images itself, on their count dict; at a boundary
+mismatch, or at the first generator that differs or raises, it composes
+and compares after all, so its witness or error is exactly theirs.
 :class:`PresentedFunctor` is the boundary type: the public functions
 convert to the form on the way in (:func:`_to_form`) and back on the
 way out (:func:`_present`), and
@@ -38,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, _check_steps, _trace, run_trace, trace_equivalent
+from .execution import Trace, _trace, _walk, run_trace, trace_equivalent
 from .multiset import EMPTY, Multiset, _wrap
 from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
 
@@ -265,7 +264,7 @@ def _images_agree(target: Net, a_start: dict, a_steps: tuple,
                   b_start: dict, b_steps: tuple) -> bool:
     image = _trace(target, _multiset(a_start), a_steps)
     # An identical pair is passed as one trace, which trace_equivalent
-    # settles with a check-only walk (so an image that cannot fire raises).
+    # settles by firing it once (so an image that cannot fire raises).
     other = (image if a_steps == b_steps and a_start == b_start
              else _trace(target, _multiset(b_start), b_steps))
     return trace_equivalent(image, other)
@@ -319,7 +318,7 @@ def _composites_agree(lo: GeneratorForm, li: GeneratorForm,
         b_steps = (steps_r[b_steps[0]][1] if len(b_steps) == 1
                    else _image_steps(steps_r, b_steps))
         if a_steps == b_steps and a_start == b_start:
-            _check_steps(target, a_start, a_steps)
+            _walk(target, a_start, a_steps)
         elif not _images_agree(target, a_start, a_steps, b_start, b_steps):
             return False
     return True

@@ -150,11 +150,6 @@ class Multiset:
                 return False
         return True
 
-    def __ge__(self, other: Multiset) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return other.__le__(self)
-
     # -- restriction helpers -----------------------------------------------
 
     def drop(self, symbols: Iterable[str]) -> Multiset:

@@ -86,8 +86,16 @@ def test_fire_not_enabled(capsys, tmp_path):
     path = tmp_path / "dry.crn"
     path.write_text("u: A -> B\nmarking: 0", encoding="utf-8")
     code, out, err = run(capsys, "fire", str(path), "--transition", "u")
-    assert code == 1
-    assert "not enabled" in err
+    assert (code, out) == (1, "")
+    assert err == "mananets: transition 'u' is not enabled\n"
+
+
+def test_fire_without_a_marking(capsys, tmp_path):
+    path = tmp_path / "unmarked.crn"
+    path.write_text("u: A -> B\n", encoding="utf-8")
+    code, out, err = run(capsys, "fire", str(path), "--transition", "u")
+    assert (code, out) == (2, "")
+    assert err == "mananets: document has no marking to fire from\n"
 
 
 def test_run_lex_is_deterministic(capsys, atp_path):

@@ -12,6 +12,7 @@ from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net, NotEn
                       reach, replay, run_trace, simulate, trace_equivalent)
 from mananets import execution
 from mananets.sampling import random_marking, random_net, random_trace
+from reference_firing import outcome, reference_fire, reference_replay, replays
 
 
 def test_enabled_with_surplus(atp_net, ms):
@@ -37,8 +38,17 @@ def test_fire_merge(abc_net, ms):
 
 
 def test_fire_not_enabled_raises(abc_net, ms):
-    with pytest.raises(NotEnabledError):
+    with pytest.raises(NotEnabledError) as err:
         fire(abc_net, ms(A=1), "u")
+    # One firing has no step index, unlike a step of a trace.
+    assert err.value.index is None
+    assert "(step" not in str(err.value)
+
+
+def test_enabled_rejects_an_unknown_transition(abc_net, ms):
+    with pytest.raises(UnknownSymbolError) as err:
+        enabled(abc_net, ms(A=1), "z")
+    assert err.value.symbol == "z"
 
 
 def test_run_empty_trace_is_identity(abc_net, ms):
@@ -79,26 +89,25 @@ def test_occurrence_additive_under_concat(pipeline_net, ms):
     assert run_trace(both) == run_trace(second)
 
 
+def test_concat_rejects_traces_that_do_not_compose(pipeline_net, abc_net, ms):
+    first = Trace(pipeline_net, ms(p1=1), ("t",))
+    with pytest.raises(ValueError, match="^traces live on different nets$"):
+        concat_traces(first, Trace(abc_net, ms(p2=1)))
+    with pytest.raises(ValueError, match="^traces do not compose: end marking differs"):
+        concat_traces(first, Trace(pipeline_net, ms(p1=1)))
+
+
 # -- trace equivalence -------------------------------------------------------
 
 
 def oracle_equivalent(t1, t2):
     """Independent oracle: breadth-first search over legal adjacent swaps,
-    where a swap is legal exactly when the swapped sequence still replays."""
+    where a swap is legal exactly when the reference replays the swapped
+    sequence."""
     if (t1.initial != t2.initial
             or sorted(t1.steps) != sorted(t2.steps)
-            or run_trace(t1) != run_trace(t2)):
+            or reference_replay(t1)[-1] != reference_replay(t2)[-1]):
         return False
-
-    def replays(steps):
-        marking = t1.initial
-        for u in steps:
-            rest = marking.minus(t1.net.pre[u])
-            if rest is None:
-                return False
-            marking = rest + t1.net.post[u]
-        return True
-
     seen = {t1.steps}
     queue = deque([t1.steps])
     while queue:
@@ -107,7 +116,7 @@ def oracle_equivalent(t1, t2):
             return True
         for i in range(len(steps) - 1):
             swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:]
-            if swapped not in seen and replays(swapped):
+            if swapped not in seen and replays(Trace(t1.net, t1.initial, swapped)):
                 seen.add(swapped)
                 queue.append(swapped)
     return False
@@ -245,11 +254,14 @@ def test_equivalence_matches_oracle_on_random_traces(block):
         t1 = random_trace(rng, net, initial, max_steps=6)
         for steps in sorted(set(itertools.permutations(t1.steps))):
             t2 = Trace(net, initial, steps)
-            try:
-                replay(t2)
-            except NotEnabledError:
-                continue
-            assert trace_equivalent(t1, t2) is oracle_equivalent(t1, t2), (seed, steps)
+            if replays(t2):
+                assert trace_equivalent(t1, t2) is oracle_equivalent(t1, t2), (seed, steps)
+
+
+def test_traces_on_two_different_nets_are_not_equivalent(abc_net, ms):
+    other = Net.build(["A", "B", "C"], {"u": ({"A": 1, "B": 1}, {"A": 1})})
+    t = Trace(abc_net, ms(A=1, B=1), ("u",))
+    assert trace_equivalent(t, Trace(other, ms(A=1, B=1), ("u",))) is False
 
 
 def test_equivalence_reflexive_symmetric(pipeline_net, ms):
@@ -347,7 +359,7 @@ def test_simulate_lex_and_seeded(pipeline_net, ms):
 
 
 def reference_simulate(net, initial, max_steps, rng=None):
-    """simulate as a walk over Multiset markings, firing with fire()."""
+    """simulate as a walk over Multiset markings, firing with the reference."""
     labels = sorted(net.transitions)
     marking = initial
     steps = []
@@ -356,7 +368,7 @@ def reference_simulate(net, initial, max_steps, rng=None):
         if not candidates:
             break
         choice = rng.choice(candidates) if rng is not None else candidates[0]
-        marking = fire(net, marking, choice)
+        marking = reference_fire(net, marking, choice)
         steps.append(choice)
     return Trace(net, initial, tuple(steps))
 
@@ -437,14 +449,6 @@ def test_identical_invalid_traces_still_raise_with_index(abc_net, ms):
     assert err.value.index == 1
 
 
-def walk_outcome(walk, trace):
-    try:
-        walk(trace)
-    except Exception as err:  # compared, not handled
-        return type(err), err.args
-    return "ok"
-
-
 @st.composite
 def walked_traces(draw):
     """Traces whose steps may lack tokens, name an unknown transition or overflow a count."""
@@ -463,25 +467,49 @@ TWO_OVERFLOWS = Trace(Net(("A", "B"), ("u",), {"u": EMPTY},
                       Multiset({"A": 1, "B": 1}), ("u",))
 
 
+def fired_markings(fire_one, trace):
+    """The markings of `trace`, firing its steps one by one with `fire_one`."""
+    markings = [trace.initial]
+    for transition in trace.steps:
+        markings.append(fire_one(trace.net, markings[-1], transition))
+    return markings
+
+
+def assert_fires_as_the_reference(trace):
+    """Each public way to fire `trace` returns or raises what the reference does."""
+    expected = outcome(reference_replay, trace)
+    valid = expected[0] == "ok"
+    assert outcome(replay, trace) == expected
+    assert outcome(run_trace, trace) == (("ok", expected[1][-1]) if valid else expected)
+    assert outcome(trace_equivalent, trace, trace) == (("ok", True) if valid else expected)
+    assert (outcome(fired_markings, fire, trace)
+            == outcome(fired_markings, reference_fire, trace))
+    return expected
+
+
+BLOCKED = Trace(ONE_STEP, Multiset({"A": 1}), ("u", "u"))
+UNKNOWN_STEP = Trace(ONE_STEP, Multiset({"A": 1}), ("u", "z"))
+NO_POST_ARCS = Trace(Net(("A",), ("u",), {"u": EMPTY}, {}), EMPTY, ("u",))
+
+
 @given(walked_traces())
-@example(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "u")))
-@example(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "z")))
-@example(Trace(Net(("A",), ("u",), {"u": EMPTY}, {}), EMPTY, ("u",)))
+@example(BLOCKED)
+@example(UNKNOWN_STEP)
+@example(NO_POST_ARCS)
 @example(TWO_OVERFLOWS)
 @example(Trace(ONE_STEP, Multiset({"A": 2}), ("u", "u")))
-def test_check_only_walk_raises_what_replay_raises(trace):
-    got = walk_outcome(execution._check_trace, trace)
-    assert got == walk_outcome(replay, trace)
-    # trace_equivalent settles an identical pair with the walk.
-    assert walk_outcome(lambda t: trace_equivalent(t, t), trace) == got
+def test_firing_entry_points_match_the_reference(trace):
+    assert_fires_as_the_reference(trace)
 
 
-def test_check_only_walk_names_each_error_as_replay_does():
-    cases = [(Trace(ONE_STEP, Multiset({"A": 1}), ("u", "u")), NotEnabledError),
-             (Trace(ONE_STEP, Multiset({"A": 1}), ("u", "z")), UnknownSymbolError),
-             (TWO_OVERFLOWS, CountOverflowError)]
+def test_each_firing_error_is_named_as_the_reference_names_it():
+    cases = [(BLOCKED, NotEnabledError), (UNKNOWN_STEP, UnknownSymbolError),
+             (NO_POST_ARCS, UnknownSymbolError), (TWO_OVERFLOWS, CountOverflowError)]
     for trace, kind in cases:
-        with pytest.raises(kind) as err:
-            execution._check_trace(trace)
-        assert walk_outcome(replay, trace) == (kind, err.value.args)
+        assert assert_fires_as_the_reference(trace)[0] is kind
+    with pytest.raises(NotEnabledError) as err:
+        replay(BLOCKED)
+    assert err.value.index == 1
+    with pytest.raises(CountOverflowError) as err:
+        run_trace(TWO_OVERFLOWS)
     assert (err.value.symbol, err.value.count) == ("B", COUNT_MAX + 1)

@@ -24,6 +24,7 @@ from mananets.net import lift_multiset_map
 from mananets.reports import law_result
 from mananets.sampling import (random_marking, random_net, random_net_morphism,
                                random_policy, random_trace)
+from reference_firing import outcome, reference_replay
 
 
 def test_plain_construction_on_abc(abc_net, ms):
@@ -973,6 +974,21 @@ def test_one_pass_decides_a_square_as_composing_and_comparing(case):
         assert (got if expected is None else got["kind"]) == expected
     else:
         assert got[0] is expected
+
+
+#: The composite image each identical-image case walks once, as a trace.
+IDENTICAL_IMAGES = {
+    "identical-overflow": Trace(TWIN, Multiset({"A": 1, "B": COUNT_MAX}), ("u",)),
+    "identical-unknown-step": Trace(TWIN, Multiset({"B": 1}), ("x",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTICAL_IMAGES))
+def test_identical_square_images_raise_what_the_reference_replay_raises(case):
+    square, _ = ONE_PASS_CASES[case]
+    expected = outcome(reference_replay, IDENTICAL_IMAGES[case])
+    assert expected[0] != "ok"
+    assert outcome(functors._composites_agree, *square) == expected
 
 
 def law_squares(net, morphism):

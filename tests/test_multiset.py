@@ -51,6 +51,17 @@ def test_leq_examples():
     assert EMPTY <= ab
 
 
+def test_geq_is_leq_reflected():
+    # Multiset has no __ge__: Python answers a >= b with b <= a.
+    ab, a = Multiset({"A": 1, "B": 1}), Multiset({"A": 1})
+    assert ab >= a and ab >= ab and a >= EMPTY
+    assert not a >= ab
+    with pytest.raises(TypeError):
+        ab >= 5
+    with pytest.raises(TypeError):
+        5 >= ab
+
+
 @given(multisets, multisets, multisets)
 def test_commutative_monoid(a, b, c):
     assert a + b == b + a

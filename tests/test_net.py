@@ -109,6 +109,8 @@ unsorted_multisets = st.lists(st.tuples(st.sampled_from("ABCDE"), lift_counts),
 # a sum overflow on "Q" met before a scaled overflow on "P" that sorts first
 @example({"A": Multiset({"P": COUNT_MAX}), "C": "Q", "D": Multiset({"Q": COUNT_MAX})},
          Multiset([("C", 1), ("D", 1), ("A", 2)]))
+# a sum overflow on "P" inside Multiset.sum of the reference
+@example({"A": "P", "B": Multiset({"P": COUNT_MAX})}, Multiset({"A": 1, "B": 1}))
 def test_lift_matches_parts_and_sum(mapping, m):
     assert lift_outcome(lift_multiset_map, mapping, m) == lift_outcome(reference_lift, mapping, m)
 

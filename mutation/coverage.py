@@ -51,30 +51,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     ('cli.py', '<module>',
      'sys.exit(main())'):
         "the CLI runs as a script only in subprocesses, which are not traced",
-    ('functors.py', 'validate_functor',
-     'return out'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
-    ('functors.py', 'validate_functor',
-     'out.append(Violation("unmapped-place", p))'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
-    ('functors.py', 'validate_functor',
-     'continue'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
-    ('functors.py', 'validate_functor',
-     'out.append(Violation("unknown-target-place", symbol, f"image of {p}"))'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
-    ('functors.py', 'validate_functor',
-     'out.append(Violation("unmapped-transition", t))'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
-    ('functors.py', 'validate_functor',
-     'out.append(Violation("endpoint-mismatch", t, "source marking"))'):
-        UNTESTED + "a malformed functor: only wrong-net and a target-marking mismatch are"
-        " tested",
     ('internal.py', 'is_mana_place_name',
      'name = name[len("outer-"):]'):
         UNTESTED + "a mana place name with an outer- prefix",
@@ -100,33 +76,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
      'return counts'):
         ("runs only after the fast lift met an unknown symbol or an overflow in "
          "the same entries, so it always raises before this line"),
-    ('net.py', 'validate_morphism',
-     'out.append(Violation(v.kind, v.subject, f"source net: {v.detail}".rstrip(": ")))'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'validate_morphism',
-     'out.append(Violation(v.kind, v.subject, f"target net: {v.detail}".rstrip(": ")))'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'validate_morphism',
-     'return out'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'validate_morphism',
-     'out.append(Violation("unmapped-place", p))'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'validate_morphism',
-     'out.append(Violation("unknown-target-transition", fmap[t], f"image of {t}"))'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'validate_morphism',
-     'out.append(Violation("square-fails", t, "post"))'):
-        UNTESTED + "a malformed morphism: only unknown-target-place and the pre square"
-        " are tested",
-    ('net.py', 'compose_morphisms',
-     'raise ValueError("morphisms are not composable: target/source nets differ")'):
-        UNTESTED + "`compose_morphisms` of morphisms that do not compose",
 }
 
 

@@ -9,16 +9,11 @@ examples it draws.
 
 MUTANTS = [
     # -- the equivalence check ------------------------------------------------
-    # The generator decision compares the coordinate names, then each step's
-    # label, needs and changes by name. It does not compare the roots: equal
-    # coordinate names lay the root out alike, so no mutant of that can fail.
-    {
-        "name": "equivalence: coordinate names not compared before the generator accept",
-        "file": "src/mananets/equivalence.py",
-        "old": "    if (sorted(names) == list(int_game.symbols)\n            and _generators(",
-        "new": "    if (True\n            and _generators(",
-        "kill": ["tests/test_kernel.py::test_a_built_net_with_other_coordinates_is_explored"],
-    },
+    # The generator decision compares each step's label, needs and changes by
+    # name. It compares neither the roots nor the coordinate sets: the built
+    # root is the external root laid out by those names, and a coordinate that
+    # only one side has is touched by no step and stays 0, so no mutant of
+    # either comparison can fail.
     {
         "name": "equivalence: a pool coordinate named by its transition, not its mana place",
         "file": "src/mananets/equivalence.py",
@@ -60,6 +55,14 @@ MUTANTS = [
                  "[ring6-8-12]"],
     },
     {
+        "name": "equivalence: the edge count read from the firing offsets",
+        "file": "src/mananets/equivalence.py",
+        "old": "    n, e = len(ext.nodes), len(ext.targets)\n",
+        "new": "    n, e = len(ext.nodes), len(ext.first)\n",
+        "kill": ["tests/test_equivalence.py::test_check_equivalence_plain_example",
+                 "tests/test_cli.py::test_golden_output[ring6-argv1]"],
+    },
+    {
         "name": "equivalence: external window read with the built net's symbols",
         "file": "src/mananets/equivalence.py",
         "old": "_first_discrepancy(_window(ext, names), ",
@@ -82,7 +85,7 @@ MUTANTS = [
         "file": "src/mananets/documents.py",
         "old": '        self[0] = ""  # a zero count is no member\n',
         "new": "",
-        "kill": ["tests/test_kernel.py::test_writer_edge_cases[zero-pool]",
+        "kill": ["tests/test_kernel.py::test_writer_edge_cases[width-8]",
                  "tests/test_cli.py::test_golden_output[ring6-argv0]"],
     },
     {
@@ -101,14 +104,6 @@ MUTANTS = [
         "kill": ["tests/test_kernel.py::test_writer_edge_cases[empty-marking]",
                  "tests/test_cli.py::test_golden_output[loop-argv3]"],
     },
-    {
-        "name": "writer: pool segment indented like a plain game's marking",
-        "file": "src/mananets/documents.py",
-        "old": '        pool = segment(split, len(symbols), "      ")\n',
-        "new": '        pool = segment(split, len(symbols), "    ")\n',
-        "kill": ["tests/test_kernel.py::test_writer_edge_cases[empty-marking]",
-                 "tests/test_kernel.py::test_writer_edge_cases[width-16]"],
-    },
     # -- the packed kernel ----------------------------------------------------
     {
         "name": "kernel: bulk unpack without the no-coordinate case",
@@ -117,6 +112,14 @@ MUTANTS = [
                "            return iter([()] * len(nodes))\n",
         "new": "",
         "kill": ["tests/test_kernel.py::test_writer_edge_cases[no-coordinates]"],
+    },
+    {
+        "name": "kernel: an edge triple with its source as its target",
+        "file": "src/mananets/execution.py",
+        "old": "        return [(s, labels[e], targets[e])\n",
+        "new": "        return [(s, labels[e], s)\n",
+        "kill": ["tests/test_kernel.py::test_edges_are_counted_as_they_are_iterated",
+                 "tests/test_equivalence.py::test_a_renumbered_graph_is_equal_as_sets"],
     },
     {
         "name": "kernel: a firing that fills the token room exactly is dropped",
@@ -243,10 +246,18 @@ MUTANTS = [
     {
         "name": "swap search: a swap is taken without checking that u fires after v",
         "file": "src/mananets/execution.py",
-        "old": "                _walk(net, markings[i]._entries, (v, u))\n",
-        "new": "                _walk(net, markings[i]._entries, (v,))\n",
+        "old": "                _walk(net, markings[i], (v, u))\n",
+        "new": "                _walk(net, markings[i], (v,))\n",
         "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
                  "tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[12]"],
+    },
+    {
+        "name": "swap search: a swap tested from the marking after u, not before it",
+        "file": "src/mananets/execution.py",
+        "old": "                _walk(net, markings[i], (v, u))\n",
+        "new": "                _walk(net, markings[i + 1], (v, u))\n",
+        "kill": ["tests/test_execution.py::test_independent_steps_commute",
+                 "tests/test_execution.py::test_class_past_the_budget_raises"],
     },
     # -- the compiled walk ----------------------------------------------------
     {
@@ -363,6 +374,16 @@ MUTANTS = [
                  "tests/test_external.py::test_consecutive_calls_report_their_own_spans"],
     },
     # -- the document boundary ----------------------------------------------
+    {
+        "name": "documents: bytes that are not UTF-8 decoded with replacement characters",
+        "file": "src/mananets/documents.py",
+        "old": '        return data.decode("utf-8")\n',
+        "new": '        return data.decode("utf-8", errors="replace")\n',
+        "kill": ["tests/test_cli.py::test_a_document_that_is_not_utf8_is_document_error"
+                 "[validate-json]",
+                 "tests/test_cli.py::test_a_document_that_is_not_utf8_is_document_error"
+                 "[validate-dsl]"],
+    },
     {
         "name": "DSL: a zero pool count is accepted",
         "file": "src/mananets/documents.py",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DocumentError
 from .execution import ReachGraph, TokenGame, VectorGraph, order_nodes
-from .external import ManaGame, ManaState
+from .external import ManaState
 from .internal import ManaPolicy
 from .multiset import COUNT_MAX, EMPTY, Multiset
 from .net import Net
@@ -54,13 +54,8 @@ def parse_json(data: str | bytes) -> NetDocument:
     Unknown or repeated keys, non-positive counts and references to
     undeclared symbols are rejected with the JSON path of the offence.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise DocumentError(f"document is not valid UTF-8: {err}") from err
     try:
-        raw = json.loads(data, object_pairs_hook=_JsonObject.of_pairs)
+        raw = json.loads(_text(data), object_pairs_hook=_JsonObject.of_pairs)
     except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON: {err.msg}",
                             line=err.lineno, col=err.colno) from err
@@ -89,6 +84,16 @@ def parse_json(data: str | bytes) -> NetDocument:
         pool = _parse_multiset(raw["pool"], "$.pool")
         _check_support(pool, set(names), "$.pool", "transition")
     return NetDocument(net, policy, marking, pool)
+
+
+def _text(data: str | bytes) -> str:
+    """A document as text; bytes that are not UTF-8 are a document error."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DocumentError(f"document is not valid UTF-8: {err}") from err
 
 
 class _JsonObject(dict):
@@ -452,7 +457,7 @@ def _expect_line_end(scanner: _Scanner, lineno: int):
 
 def parse_document(data: str | bytes) -> NetDocument:
     """Dispatch by content: a document starting with '{' is JSON, else DSL."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _text(data)
     if text.lstrip().startswith("{"):
         return parse_json(text)
     return parse_reaction_dsl(text)
@@ -486,55 +491,35 @@ def graph_to_json_dict(graph: ReachGraph) -> dict:
 
 def emit_graph_json(game: TokenGame, graph: VectorGraph, depth_bound: int,
                     token_bound: int) -> str:
-    """Canonical JSON text of an explored graph, written from its count vectors.
+    """Canonical JSON text of an explored plain graph, written from its count vectors.
 
-    `graph` is what :func:`~mananets.execution.explore` found in `game`
-    within the two bounds. The text is exactly ``json.dumps(
-    graph_to_json_dict(game.reach(root, depth_bound, token_bound)),
-    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, so nodes and
-    edges come in the order of :func:`~mananets.execution.order_nodes`,
-    each node's edges read from its range of the graph's flat firing
-    arrays. The nodes are unpacked together, in sorted order, and each is
-    written from the game's sorted symbols, the marking segment and, for
-    a :class:`~mananets.external.ManaGame`, the pool segment; no
-    ``Multiset`` or ``ReachGraph`` is built. Each member text and each
-    rank text is made once and reused. With an indent,
+    `graph` is what :func:`~mananets.execution.explore` found in the
+    plain game `game` within the two bounds. The text is exactly
+    ``json.dumps(graph_to_json_dict(game.reach(root, depth_bound,
+    token_bound)), sort_keys=True, indent=2, ensure_ascii=False) +
+    "\\n"``, so nodes and edges come in the order of
+    :func:`~mananets.execution.order_nodes`, each node's edges read from
+    its range of the graph's flat firing arrays. The nodes are unpacked
+    together, in sorted order, and each is written over the game's sorted
+    symbols; no ``Multiset`` or ``ReachGraph`` is built. Each member text
+    and each rank text is made once and reused. With an indent,
     ``json.dumps`` runs its pure-Python encoder, which would dominate the
     time of a large ``reach``; this writer only joins strings, all of
     them in one final join.
     """
     names = _JsonStrings()
     order, rank = order_nodes(game, graph)
-    split = game.split
-    symbols = game.symbols
     first, labels, targets = graph.first, graph.labels, graph.targets
-
-    def segment(start: int, stop: int, indent: str, lead: str = ""):
-        """The writer of one segment's counts as a JSON object at `indent`, after `lead`."""
-        members = [_Members(names[s] + ": ") for s in symbols[start:stop]]
-        inner = ",\n" + indent + "  "
-        close = "\n" + indent + "}"
-        opening, empty = lead + "{" + inner[1:], lead + "{}"
-
-        def counts(vector) -> str:
-            body = inner.join(filter(None, map(_Members.__getitem__, members, vector[start:])))
-            return opening + body + close if body else empty
-        return counts
-
     # Each node's rank as text, by position: a rank is formatted once,
     # not once per edge that touches it. Every item text of the two lists
     # begins with its separator; see _json_list.
     ranks = [str(r) for r in rank]
     edges = [f",\n    [\n      {ranks[s]},\n      {names[labels[e]]},\n      "
              f"{ranks[targets[e]]}\n    ]" for s in order for e in range(first[s], first[s + 1])]
-    vectors = graph.vectors([graph.nodes[s] for s in order])
-    if isinstance(game, ManaGame):
-        marking = segment(0, split, "      ")
-        pool = segment(split, len(symbols), "      ")
-        nodes = [',\n    {\n      "marking": ' + marking(v) + ',\n      "pool": ' + pool(v)
-                 + "\n    }" for v in vectors]
-    else:
-        nodes = list(map(segment(0, split, "    ", ",\n    "), vectors))
+    members = [_Members(names[s] + ": ") for s in game.symbols]
+    bodies = (",\n      ".join(filter(None, map(_Members.__getitem__, members, vector)))
+              for vector in graph.vectors([graph.nodes[s] for s in order]))
+    nodes = [",\n    {\n      " + body + "\n    }" if body else ",\n    {}" for body in bodies]
     pieces = ['{\n  "depth_bound": ', _json_scalar(depth_bound), ',\n  "edges": ']
     pieces += _json_list(edges)
     pieces.append(',\n  "nodes": ')

@@ -5,8 +5,8 @@ pool of a :class:`~mananets.external.ManaState` onto those places
 (:func:`state_to_object`) turns external states into built-net markings.
 :func:`check_equivalence` verifies that this translation is a
 label-preserving isomorphism between the two bounded reachability
-graphs: on generators, the two games' steps, where they agree, and on
-the two explored windows where they do not. :func:`externalize`
+graphs: on generators, the two games' named steps, where they agree,
+and on the two explored windows where they do not. :func:`externalize`
 recovers the policy back from a built net, inverting :func:`internalize`
 exactly.
 """
@@ -60,7 +60,7 @@ def externalize(mn: ManaNet) -> tuple[Net, ManaPolicy]:
     return _read_base_and_policy(mn.built, mn.mana_place_of)
 
 
-def mana_net_from_built(built: Net, prefix: str = mana_place_name("")) -> ManaNet:
+def mana_net_from_built(built: Net) -> ManaNet:
     """Reconstruct a ManaNet from a built net exported as an ordinary net.
 
     The mana layer is identified by the canonical naming convention: the
@@ -70,7 +70,7 @@ def mana_net_from_built(built: Net, prefix: str = mana_place_name("")) -> ManaNe
     mana_place_of = {}
     places = set(built.places)
     for t in built.transitions:
-        name = prefix + t
+        name = mana_place_name(t)
         if name not in places:
             raise ShapeViolationError(t, f"no mana place {name!r} in the net")
         mana_place_of[t] = name
@@ -139,11 +139,11 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     two games' steps are compared by those names. The root is laid out
     first, so an error of :func:`state_to_object` comes before any
     search; then the external game is explored in its own layout. When
-    its coordinate names are the built net's symbols and each of its
-    steps has the built net's label, ``pre`` and ``Δ`` by name, the two
-    are one vector game up to the order of coordinates, whose search
-    from one root finds one graph under any bound, so the built net is
-    not explored. Otherwise it is, and the two windows are compared by
+    each of its steps has the built net's label, ``pre`` and ``Δ`` by
+    name, the two games fire alike from one root, so the built net is
+    not explored: a coordinate that only one side has is touched by no
+    step and stays 0 in every state, and a window drops zero counts.
+    Otherwise it is, and the two windows are compared by
     :func:`_first_discrepancy`.
     """
     mn = internalize(net, policy)
@@ -154,16 +154,16 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     ext = explore(ext_game, ext_game.vector(initial),
                   depth_bound=depth_bound, token_bound=token_bound)
     int_game = TokenGame(mn.built, root)
-    n, e = len(ext.nodes), len(ext.edges)
-    # Equal coordinate names lay the root out alike, so the roots need no comparison.
-    if (sorted(names) == list(int_game.symbols)
-            and _generators(ext_game, names) == _generators(int_game, int_game.symbols)):
+    n, e = len(ext.nodes), len(ext.targets)
+    # `names` has no repeats: the construction refuses a mana place name that
+    # is taken, and state_to_object a marking symbol on a mana place.
+    if _generators(ext_game, names) == _generators(int_game, int_game.symbols):
         return EquivalenceReport(True, n, n, e, e, None)
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
     discrepancy = _first_discrepancy(_window(ext, names), _window(internal, int_game.symbols))
     return EquivalenceReport(discrepancy is None, n, len(internal.nodes), e,
-                             len(internal.edges), discrepancy)
+                             len(internal.targets), discrepancy)
 
 
 def _generators(game: TokenGame, names) -> list:

@@ -10,9 +10,12 @@ The firing rule is coded three times, each for a measured reason; the
 rule on ``Multiset`` values lives in the tests, as the reference for
 all three. Every trace fires on a count dict, in :func:`_walk`: most
 have a step or two on a net seen once, where a compile would cost about
-ten walks. Bounded reachability (:func:`explore`, on packed states) and
-random walks (:meth:`TokenGame.walk`, on a game cached on the net) run
-on the net compiled once into its incidence form (a :class:`TokenGame`):
+ten walks. Its intermediate markings stay count dicts, which
+:func:`replay` wraps as ``Multiset`` values and the swap search of
+:func:`trace_equivalent` reads as they are. Bounded reachability
+(:func:`explore`, on packed states) and random walks
+(:meth:`TokenGame.walk`, on a game cached on the net) run on the net
+compiled once into its incidence form (a :class:`TokenGame`):
 every symbol that can occur gets a coordinate, and every transition
 becomes the counts it needs and the changes it makes. The mana game of
 :mod:`mananets.external` appends the pool as a second segment of the
@@ -110,9 +113,9 @@ def fire(net: Net, marking: Multiset, transition: str) -> Multiset:
 
 def replay(trace: Trace) -> list[Multiset]:
     """All intermediate markings, from the initial one to the final one."""
-    markings = [trace.initial]
-    _walk(trace.net, trace.initial._entries, trace.steps, markings)
-    return markings
+    counts: list[dict] = []
+    _walk(trace.net, trace.initial._entries, trace.steps, counts)
+    return [trace.initial, *map(_wrap, counts)]
 
 
 def run_trace(trace: Trace) -> Multiset:
@@ -125,8 +128,8 @@ def _walk(net: Net, counts: dict, steps, markings: list | None = None) -> dict:
 
     Zero counts are dropped. A blocked step raises NotEnabledError with
     its index. Post arcs are added in ``Multiset.__add__`` order, so an
-    overflow names the symbol that addition would. Given a list, each
-    intermediate marking is appended to `markings`.
+    overflow names the symbol that addition would. Given a list, the
+    counts after each step are appended to `markings`, each a new dict.
     """
     counts = dict(counts)
     pre, post = net.pre, net.post
@@ -148,7 +151,7 @@ def _walk(net: Net, counts: dict, steps, markings: list | None = None) -> dict:
                 raise CountOverflowError(symbol, total)
             counts[symbol] = total
         if markings is not None:
-            markings.append(_wrap(dict(counts)))
+            markings.append(dict(counts))
     return counts
 
 
@@ -189,16 +192,16 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
         return False
     if t1.initial != t2.initial:
         return False
-    net = t1.net
+    net, start = t1.net, t1.initial._entries
     if t1.steps == t2.steps:
-        _walk(net, t1.initial._entries, t1.steps)  # an invalid trace still raises
+        _walk(net, start, t1.steps)  # an invalid trace still raises
         return True
     if occurrence_multiset(t1) != occurrence_multiset(t2):
         return False
     # Equal occurrences from one marking end in one marking, so these walks
     # compare nothing: they raise on an invalid trace.
-    _walk(net, t1.initial._entries, t1.steps)
-    _walk(net, t2.initial._entries, t2.steps)
+    _walk(net, start, t1.steps)
+    _walk(net, start, t2.steps)
 
     budget = TRACE_CLASS_BUDGET
     goal = t2.steps
@@ -206,14 +209,15 @@ def trace_equivalent(t1: Trace, t2: Trace) -> bool:
     queue = deque([t1.steps])
     while queue:
         steps = queue.popleft()
-        markings = replay(Trace(net, t1.initial, steps))
+        markings = [start]
+        _walk(net, start, steps, markings)
         for i in range(len(steps) - 1):
             u, v = steps[i], steps[i + 1]
             if u == v:
                 continue
             # Swap is legal only if the pair fires in the other order.
             try:
-                _walk(net, markings[i]._entries, (v, u))
+                _walk(net, markings[i], (v, u))
             except NotEnabledError:
                 continue
             swapped = steps[:i] + (v, u) + steps[i + 2:]
@@ -392,8 +396,9 @@ class VectorGraph:
     position ``targets[e]`` in `nodes`, and those out of node `s` are
     ``range(first[s], first[s + 1])``, in the game's step order, so
     `first` has one entry more than `nodes`. A node that was not
-    expanded has none. :func:`order_nodes` sorts the nodes where the
-    order matters. It is a plain class because a frozen dataclass
+    expanded has none. `edges` lists the firings as triples of node
+    positions. :func:`order_nodes` sorts the nodes where the order
+    matters. It is a plain class because a frozen dataclass
     generates and compiles its methods at import time.
     """
 
@@ -424,27 +429,11 @@ class VectorGraph:
         return int.from_bytes(self._fields.pack(*vector), "big")
 
     @property
-    def edges(self) -> _Edges:
-        """The firings as ``(source, label, target)`` triples, counted by ``len``."""
-        return _Edges(self)
-
-
-class _Edges:
-    """A view of the flat firing arrays as triples, made only as they are read."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: VectorGraph):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.targets)
-
-    def __iter__(self):
-        first, labels, targets = self._graph.first, self._graph.labels, self._graph.targets
-        for s in range(len(first) - 1):
-            for e in range(first[s], first[s + 1]):
-                yield s, labels[e], targets[e]
+    def edges(self) -> list[tuple[int, str, int]]:
+        """The firings as ``(source, label, target)`` triples of node positions."""
+        first, labels, targets = self.first, self.labels, self.targets
+        return [(s, labels[e], targets[e])
+                for s in range(len(first) - 1) for e in range(first[s], first[s + 1])]
 
 
 def _packed(pairs, coordinates: int, width: int) -> int:

@@ -390,6 +390,31 @@ def test_zero_pool_or_produce_count_is_document_error(capsys, tmp_path, suffix, 
     assert err == f"mananets: counts must be positive integers {where}\n"
 
 
+@pytest.mark.parametrize("suffix, data, position", [
+    (".json", b'{"places": ["A\xff"], "transitions": {}}', 14),
+    (".crn", b"u: A -> B\n\xff\n", 10),
+], ids=["json", "dsl"])
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["fire", "--transition", "u"],
+    ["run", "--steps", "2"],
+    ["reach", "--depth", "2", "--max-tokens", "3"],
+    ["internalize"],
+    ["externalize"],
+    ["check-laws", "--samples", "2"],
+    ["equiv", "--depth", "2", "--max-tokens", "3"],
+    ["export-dot"],
+], ids=lambda argv: argv[0])
+def test_a_document_that_is_not_utf8_is_document_error(capsys, tmp_path, suffix, data,
+                                                       position, argv):
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(data)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == ("mananets: document is not valid UTF-8: 'utf-8' codec can't decode "
+                   f"byte 0xff in position {position}: invalid start byte\n")
+
+
 def outcome(capsys, argv):
     try:
         code = main(list(argv))

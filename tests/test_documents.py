@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from mananets import (EMPTY, DocumentError, ManaPolicy, Multiset, Net,
-                      emit_json, parse_document, parse_json,
-                      parse_reaction_dsl, validate_net)
+from mananets import (EMPTY, DocumentError, ManaPolicy, ManaState, Multiset, Net,
+                      emit_json, graph_to_json_dict, mana_reach, parse_document,
+                      parse_json, parse_reaction_dsl, validate_net)
 from mananets.documents import NetDocument
 from mananets.multiset import COUNT_MAX
 
@@ -421,3 +421,17 @@ def test_dsl_rejections_are_pinned(text, message, line, col):
         parse_reaction_dsl(text)
     assert (err.value.message, err.value.path, err.value.line, err.value.col) == \
         (message, None, line, col)
+
+
+def test_a_mana_graph_is_written_with_marking_and_pool():
+    net = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1})})
+    root = ManaState(Multiset({"A": 1}), Multiset({"u": 1}))
+    graph = mana_reach(net, ManaPolicy.plain(net), root, 3, 5)
+    assert graph_to_json_dict(graph) == {
+        "root": 0,
+        "nodes": [{"marking": {"A": 1}, "pool": {"u": 1}}, {"marking": {"B": 1}, "pool": {}}],
+        "edges": [[0, "u", 1]],
+        "depth_bound": 3,
+        "token_bound": 5,
+        "truncated": False,
+    }

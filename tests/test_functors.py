@@ -1,7 +1,7 @@
 import pytest
 
 from mananets import (EMPTY, Multiset, Net, NotEnabledError, PresentedFunctor, Trace,
-                      apply_functor, apply_functor_to_marking,
+                      Violation, apply_functor, apply_functor_to_marking,
                       compose_functors, functors_equal, identity_functor,
                       lift_functor, run_trace, validate_functor)
 from mananets import functors
@@ -83,6 +83,34 @@ def test_validate_functor_catches_endpoint_mismatch(abc_net, ms):
     )
     problems = validate_functor(broken)
     assert any(v.kind == "endpoint-mismatch" for v in problems)
+
+
+def test_validate_functor_reports_unmapped_and_unknown_generators(abc_net, doubling_functor):
+    # C has no image, B's names a place the chain lacks, and u has no trace.
+    partial = PresentedFunctor(abc_net, doubling_functor.target,
+                               {"A": Multiset({"X": 1}), "B": Multiset({"Q": 1})}, {})
+    assert validate_functor(partial) == [
+        Violation("unknown-target-place", "Q", "image of B"),
+        Violation("unmapped-place", "C"),
+        Violation("unmapped-transition", "u"),
+    ]
+
+
+def test_validate_functor_catches_a_source_marking_mismatch(doubling_functor, ms):
+    chain = doubling_functor.target
+    short = PresentedFunctor(doubling_functor.source, chain, doubling_functor.object_map,
+                             {"u": Trace(chain, ms(X=1, Y=1), ("s1", "s2"))})
+    assert validate_functor(short) == [Violation("endpoint-mismatch", "u", "source marking")]
+
+
+def test_validate_functor_stops_at_a_malformed_net():
+    # Every map is empty, but a malformed boundary net ends the check.
+    twice = Net.build(["A", "A"], {})
+    dangling = Net.build(["A"], {"u": ({"Z": 1}, {})})
+    assert validate_functor(PresentedFunctor(dangling, twice, {}, {})) == [
+        Violation("unknown-place", "Z", "source net: pre of u"),
+        Violation("duplicate-place", "A", "target net"),
+    ]
 
 
 def with_image_on(functor, net):

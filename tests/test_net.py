@@ -179,6 +179,37 @@ def test_unmapped_and_unknown_targets():
     assert ("unknown-target-place", "Z") in kinds(found)
 
 
+def test_a_malformed_net_is_reported_with_its_side_and_nothing_else():
+    # Every map is empty, but a malformed boundary net ends the check.
+    twice = Net.build(["A", "A"], {})
+    dangling = Net.build(["A"], {"u": ({"Z": 1}, {})})
+    found = validate_morphism(NetMorphism(dangling, twice, {}, {}))
+    assert found == [Violation("unknown-place", "Z", "source net: pre of u"),
+                     Violation("duplicate-place", "A", "target net")]
+
+
+def test_unmapped_places_and_unknown_target_transitions():
+    source = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1})})
+    target = Net.build(["X"], {"w": ({"X": 1}, {})})
+    found = validate_morphism(NetMorphism(source, target, {"u": "nowhere"}, {"A": "X"}))
+    assert found == [Violation("unmapped-place", "B"),
+                     Violation("unknown-target-transition", "nowhere", "image of u")]
+
+
+def test_post_square_fails_alone():
+    source = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1})})
+    target = Net.build(["X", "Y"], {"w": ({"X": 1}, {"Y": 2})})
+    morphism = NetMorphism(source, target, {"u": "w"}, {"A": "X", "B": "Y"})
+    assert validate_morphism(morphism) == [Violation("square-fails", "u", "post")]
+
+
+def test_morphisms_that_do_not_meet_are_not_composed(atp_net):
+    identity = NetMorphism.identity(atp_net)
+    other = NetMorphism.identity(Net.build(["A"], {}))
+    with pytest.raises(ValueError, match="morphisms are not composable"):
+        compose_morphisms(other, identity)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_morphisms_valid_and_composable(seed):
     rng = random.Random(seed)

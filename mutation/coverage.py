@@ -30,52 +30,13 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 PACKAGE = ROOT / "src" / "mananets"
 
-UNTESTED = "no tier-1 test gives "
-
 #: Lines that tier-1 never runs, by module file, owning function and line
 #: text (stripped), with the reason each stays unreached. One entry covers
 #: every unreached line of that function with that text.
 UNREACHED: dict[tuple[str, str, str], str] = {
-    ('cli.py', 'cmd_externalize',
-     '_diag("a built-net document must not carry a pool; its mana lives on places")'):
-        UNTESTED + "`externalize` on a built net that carries a pool",
-    ('cli.py', 'cmd_externalize',
-     'return USAGE_ERROR'):
-        UNTESTED + "`externalize` on a built net that carries a pool",
-    ('cli.py', '_count',
-     'except ValueError:'):
-        UNTESTED + "a count option that is not an integer",
-    ('cli.py', '_count',
-     'raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None'):
-        UNTESTED + "a count option that is not an integer",
     ('cli.py', '<module>',
      'sys.exit(main())'):
         "the CLI runs as a script only in subprocesses, which are not traced",
-    ('internal.py', 'is_mana_place_name',
-     'name = name[len("outer-"):]'):
-        UNTESTED + "a mana place name with an outer- prefix",
-    ('internal.py', '_lift_form',
-     'raise ValueError("mana nets do not match the functor\'s boundary nets")'):
-        UNTESTED + "`lift_functor` with mana nets of other boundary nets",
-    ('internal.py', '_lift_form',
-     'else (_wrap(start) + _wrap(mana))._entries)'):
-        UNTESTED + "a lifted image whose start already holds a target mana place",
-    ('multiset.py', 'Multiset.__init__',
-     'raise TypeError(f"symbols must be strings, got {symbol!r}")'):
-        UNTESTED + "a symbol that is not a string",
-    ('multiset.py', 'Multiset.__add__',
-     'return NotImplemented'):
-        UNTESTED + "`+` with an operand that is not a Multiset",
-    ('multiset.py', 'Multiset.__mul__',
-     'return NotImplemented'):
-        UNTESTED + "`*` by a bool, a non-int or a negative int",
-    ('multiset.py', 'Multiset.__mul__',
-     'raise ValueError(f"scale factor must be >= 0, got {n}")'):
-        UNTESTED + "`*` by a bool, a non-int or a negative int",
-    ('net.py', '_lift_in_order',
-     'return counts'):
-        ("runs only after the fast lift met an unknown symbol or an overflow in "
-         "the same entries, so it always raises before this line"),
 }
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from pathlib import Path
 
-from .documents import (NetDocument, emit_graph_json, emit_json,
+from .documents import (NetDocument, canonical_json, emit_graph_json, emit_json,
                         parse_document, state_to_json_dict)
 from .dot import export_dot
 from .equivalence import (check_equivalence, internalize, mana_net_from_built,
@@ -32,10 +31,6 @@ from .sampling import (random_marking, random_net_morphism, random_state,
                        random_trace)
 
 OK, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _emit(text: str, out: str | None):
@@ -60,7 +55,7 @@ def _initial_state(doc: NetDocument) -> ManaState:
 
 def cmd_validate(doc: NetDocument, args) -> int:
     violations = validate_net(doc.net)
-    _emit(_dump({"violations": [v.to_json_dict() for v in violations]}), args.output)
+    _emit(canonical_json({"violations": [v.to_json_dict() for v in violations]}), args.output)
     return OK if not violations else CHECK_FAILED
 
 
@@ -73,7 +68,7 @@ def cmd_fire(doc: NetDocument, args) -> int:
     except NotEnabledError as err:
         _diag(str(err))
         return CHECK_FAILED
-    _emit(_dump({"marking": marking.as_dict()}), args.output)
+    _emit(canonical_json({"marking": marking.as_dict()}), args.output)
     return OK
 
 
@@ -92,7 +87,7 @@ def cmd_run(doc: NetDocument, args) -> int:
         out = {"initial": initial.as_dict(),
                "steps": list(trace.steps),
                "final": run_trace(trace).as_dict()}
-    _emit(_dump(out), args.output)
+    _emit(canonical_json(out), args.output)
     return OK
 
 
@@ -161,8 +156,8 @@ def cmd_check_laws(doc: NetDocument, args) -> int:
         report = check_laxator_naturality(net, policy, samples)
         laws.extend(report.to_json_list())
 
-    _emit(_dump({"seed": args.seed, "samples": args.samples,
-                 "notes": notes, "laws": laws}), args.output)
+    _emit(canonical_json({"seed": args.seed, "samples": args.samples,
+                          "notes": notes, "laws": laws}), args.output)
     passed = all(entry["status"] == "pass" for entry in laws)
     return OK if passed else CHECK_FAILED
 
@@ -181,7 +176,7 @@ def _sample_traces(rng, doc: NetDocument, count: int):
 def cmd_equiv(doc: NetDocument, args) -> int:
     report = check_equivalence(doc.net, _policy_for(doc), _initial_state(doc),
                                args.depth, args.max_tokens)
-    _emit(_dump(report.to_json_dict()), args.output)
+    _emit(canonical_json(report.to_json_dict()), args.output)
     return OK if report.isomorphic else CHECK_FAILED
 
 

@@ -219,6 +219,11 @@ def emit_json(doc: NetDocument) -> str:
         obj["marking"] = doc.marking.as_dict()
     if doc.pool is not None:
         obj["pool"] = doc.pool.as_dict()
+    return canonical_json(obj)
+
+
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, indent 2, non-ASCII kept, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -176,9 +176,7 @@ def _generators(game: TokenGame, names) -> list:
 def _window(graph: VectorGraph, symbols) -> tuple[set, set]:
     """The nodes of `graph`, coordinate ``r`` read as ``symbols[r]``, and its firings."""
     nodes = [Multiset(zip(symbols, v)) for v in graph.vectors(graph.nodes)]
-    first, labels, targets = graph.first, graph.labels, graph.targets
-    return set(nodes), {(nodes[s], labels[e], nodes[targets[e]])
-                        for s in range(len(nodes)) for e in range(first[s], first[s + 1])}
+    return set(nodes), {(nodes[s], label, nodes[d]) for s, label, d in graph.edges}
 
 
 def _first_discrepancy(ext: tuple[set, set], internal: tuple[set, set]) -> dict | None:

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from .errors import (CountOverflowError, NotEnabledError, TraceClassBudgetError,
                      UnknownSymbolError)
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
-from .net import Net
+from .net import Net, _filled
 
 #: Markings are plain multisets over a net's places.
 Marking = Multiset
@@ -84,16 +84,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def _trace(net: Net, initial: Multiset, steps: tuple) -> Trace:
-    # Internal fast path, like Multiset's _wrap: `steps` is already a tuple.
-    trace = object.__new__(Trace)
-    fields = trace.__dict__
-    fields["net"] = net
-    fields["initial"] = initial
-    fields["steps"] = steps
-    return trace
 
 
 def enabled(net: Net, marking: Multiset, transition: str) -> bool:
@@ -594,4 +584,4 @@ def simulate(net: Net, initial: Multiset, max_steps: int,
     for symbol, count in initial._entries.items():
         if symbol in coordinate:
             counts[coordinate[symbol]] = count
-    return _trace(net, initial, tuple(game.walk(counts, max_steps, rng)))
+    return _filled(Trace, net=net, initial=initial, steps=tuple(game.walk(counts, max_steps, rng)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import CountOverflowError, NotManaEnabledError, UnknownSymbolError
 from .execution import ReachGraph, TokenGame, Trace, enabled, fire, run_trace
 from .internal import ManaPolicy
-from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
+from .multiset import COUNT_MAX, EMPTY, Multiset, _of_counts
 from .net import Net
 from .reports import LawReport, LawResult, law_result
 
@@ -122,8 +122,7 @@ def _span_of_steps(policy: ManaPolicy, steps) -> AffineSpan:
             if total > COUNT_MAX:
                 raise CountOverflowError(symbol, total)
             produce[symbol] = total
-    return AffineSpan(_wrap(consume) if consume else EMPTY,
-                      _wrap(produce) if produce else EMPTY)
+    return AffineSpan(_of_counts(consume), _of_counts(produce))
 
 
 def laxator(pool1: Multiset, pool2: Multiset) -> Multiset:

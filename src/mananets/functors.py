@@ -37,9 +37,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .execution import Trace, _trace, _walk, run_trace, trace_equivalent
-from .multiset import EMPTY, Multiset, _wrap
-from .net import Net, NetMorphism, Violation, lift_counts, lift_multiset_map, validate_net
+from .execution import Trace, _walk, run_trace, trace_equivalent
+from .multiset import Multiset, _of_counts
+from .net import (Net, NetMorphism, Violation, _filled, _nested_violations, lift_counts,
+                  lift_multiset_map)
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,6 @@ class GeneratorForm:
         self.morphisms = morphisms
 
 
-def _multiset(counts: dict) -> Multiset:
-    return _wrap(counts) if counts else EMPTY
-
-
 def _to_form(functor: PresentedFunctor) -> GeneratorForm:
     """The generator form of a presented functor (shares its count dicts).
 
@@ -103,8 +100,8 @@ def _present(form: GeneratorForm) -> PresentedFunctor:
     target = form.target
     return PresentedFunctor(
         form.source, target,
-        {p: _multiset(image) for p, image in form.objects.items()},
-        {t: Trace(target, _multiset(start), steps)
+        {p: _of_counts(image) for p, image in form.objects.items()},
+        {t: Trace(target, _of_counts(start), steps)
          for t, (start, steps) in form.morphisms.items()},
     )
 
@@ -160,7 +157,7 @@ def apply_functor(functor: PresentedFunctor, trace: Trace) -> Trace:
     used = {t: (images[t].initial._entries, images[t].steps)
             for t in set(trace.steps) if t in images}
     start = lift_counts(functor.object_map, trace.initial._entries)
-    return Trace(functor.target, _multiset(start), _image_steps(used, trace.steps))
+    return Trace(functor.target, _of_counts(start), _image_steps(used, trace.steps))
 
 
 def _lift_image(objects: dict, counts: dict) -> dict:
@@ -206,11 +203,8 @@ def validate_functor(functor: PresentedFunctor) -> list[Violation]:
     source transition needs a target trace running from the image of its
     pre multiset to the image of its post multiset.
     """
-    out: list[Violation] = []
-    out.extend(Violation(v.kind, v.subject, f"source net: {v.detail}".rstrip(": "))
-               for v in validate_net(functor.source))
-    out.extend(Violation(v.kind, v.subject, f"target net: {v.detail}".rstrip(": "))
-               for v in validate_net(functor.target))
+    out = (_nested_violations("source", functor.source)
+           + _nested_violations("target", functor.target))
     if out:
         return out
 
@@ -262,11 +256,11 @@ def _compare_forms(left: GeneratorForm, right: GeneratorForm) -> dict | None:
 
 def _images_agree(target: Net, a_start: dict, a_steps: tuple,
                   b_start: dict, b_steps: tuple) -> bool:
-    image = _trace(target, _multiset(a_start), a_steps)
+    image = _filled(Trace, net=target, initial=_of_counts(a_start), steps=a_steps)
     # An identical pair is passed as one trace, which trace_equivalent
     # settles by firing it once (so an image that cannot fire raises).
     other = (image if a_steps == b_steps and a_start == b_start
-             else _trace(target, _multiset(b_start), b_steps))
+             else _filled(Trace, net=target, initial=_of_counts(b_start), steps=b_steps))
     return trace_equivalent(image, other)
 
 

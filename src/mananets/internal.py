@@ -35,7 +35,7 @@ from .execution import occurrence_counts
 from .functors import (GeneratorForm, PresentedFunctor, _compare_composites, _compare_forms,
                        _compose_forms, _identity_form, _morphism_form, _present, _to_form)
 from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
-from .net import Net, NetMorphism, lift_counts, validate_net
+from .net import Net, NetMorphism, _filled, lift_counts, validate_net
 from .reports import LawReport, LawResult, law_result
 
 #: Prefix used for generated mana place names.
@@ -149,24 +149,17 @@ class ManaNet:
         return frozenset(self.mana_place_of.values())
 
 
-def _filled(cls, **fields):
-    # A frozen dataclass holding `fields` as given, without __post_init__.
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
-
-
 def _check_net(net: Net) -> None:
     problems = validate_net(net)
     if problems:
         raise ValueError(f"net is not well formed: {problems[0].kind} {problems[0].subject}")
 
 
-def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
+def _construct(net: Net, policy: ManaPolicy, prefix: str) -> ManaNet:
     taken = set(net.places) | set(net.transitions)
     mana_place_of = {}
     for t in net.transitions:
-        name = namer(t)
+        name = prefix + t
         if name in taken:
             raise NameClashError(name)
         taken.add(name)
@@ -187,8 +180,8 @@ def _construct(net: Net, policy: ManaPolicy, namer) -> ManaNet:
         gained = produce[t]._entries
         post[t] = (_wrap({**net.post[t]._entries, **lift_counts(mana_place_of, gained)})
                    if gained else net.post[t])
-    # Fields are filled directly, as execution._trace fills a Trace: every
-    # dict here is fresh and every tuple immutable, so copies would be waste.
+    # Fields are filled directly, with net._filled: every dict here is
+    # fresh and every tuple immutable, so copies would be waste.
     built = _filled(Net, places=net.places + tuple(mana_place_of.values()),
                     transitions=net.transitions, pre=pre, post=post)
     return _filled(ManaNet, base=net, built=built, mana_place_of=mana_place_of, policy=policy)
@@ -207,13 +200,13 @@ def generalized_internal_construction(net: Net, policy: ManaPolicy) -> ManaNet:
     policy_problems = validate_policy(net, policy)
     if policy_problems:
         raise PolicyError(policy_problems[0])
-    return _construct(net, policy, mana_place_name)
+    return _construct(net, policy, MANA_PREFIX)
 
 
 def internal_construction(net: Net) -> ManaNet:
     """The plain construction: every firing costs one unit of its own mana."""
     _check_net(net)  # the plain policy fits any well-formed net
-    return _construct(net, ManaPolicy.plain(net), mana_place_name)
+    return _construct(net, ManaPolicy.plain(net), MANA_PREFIX)
 
 
 def iterated_construction(mn: ManaNet) -> ManaNet:
@@ -236,7 +229,7 @@ def _iterated(mn: ManaNet, check: bool = False) -> ManaNet:
         prefix = "outer-" + prefix
     if check:
         _check_net(built)
-    return _construct(built, ManaPolicy.plain(built), lambda t: prefix + t)
+    return _construct(built, ManaPolicy.plain(built), prefix)
 
 
 def _counit_form(mn: ManaNet) -> GeneratorForm:

@@ -181,5 +181,10 @@ def _wrap(counts: dict[str, int]) -> Multiset:
     return ms
 
 
+def _of_counts(counts: dict[str, int]) -> Multiset:
+    # _wrap, or the shared EMPTY for no counts (which wraps nothing).
+    return _wrap(counts) if counts else EMPTY
+
+
 #: The empty multiset, unit of ``+``.
 EMPTY = Multiset()

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import CountOverflowError, UnknownSymbolError
-from .multiset import COUNT_MAX, EMPTY, Multiset, _wrap
+from .multiset import COUNT_MAX, Multiset, _of_counts
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,14 @@ class Net:
         if transition not in self.pre or transition not in self.post:
             raise UnknownSymbolError(transition, "transitions")
         return self.pre[transition], self.post[transition]
+
+
+def _filled(cls, **fields):
+    # A frozen dataclass holding `fields` as given, without __post_init__:
+    # for callers whose fields are already fresh dicts and tuples.
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,12 @@ def validate_net(net: Net) -> list[Violation]:
     return out
 
 
+def _nested_violations(side: str, net: Net) -> list[Violation]:
+    """The violations of a net inside a larger structure, detailed as ``"<side> net: ..."``."""
+    return [Violation(v.kind, v.subject, f"{side} net: {v.detail}" if v.detail else f"{side} net")
+            for v in validate_net(net)]
+
+
 def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Multiset:
     """Apply a symbol map to a multiset, summing over preimages.
 
@@ -130,8 +145,7 @@ def lift_multiset_map(mapping: Mapping[str, str | Multiset], m: Multiset) -> Mul
     >>> lift_multiset_map({"A": "P", "B": "P"}, Multiset({"A": 1, "B": 1}))
     Multiset({'P': 2})
     """
-    counts = lift_counts(mapping, m._entries)
-    return _wrap(counts) if counts else EMPTY
+    return _of_counts(lift_counts(mapping, m._entries))
 
 
 def lift_counts(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> dict:
@@ -160,10 +174,11 @@ def lift_counts(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> 
     return counts
 
 
-def _lift_in_order(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> dict:
+def _lift_in_order(mapping: Mapping[str, str | Multiset | dict], entries: dict) -> NoReturn:
     # The same sum taken in symbol order, raising the first error in that
     # order: an unknown symbol or an overflowing scaled image anywhere is
-    # reported before a sum overflow.
+    # reported before a sum overflow. Only called once the fast lift has
+    # met such an error in the same entries, so it always raises.
     counts: dict[str, int] = {}
     overflow = None
     for symbol, count in sorted(entries.items()):
@@ -180,9 +195,7 @@ def _lift_in_order(mapping: Mapping[str, str | Multiset | dict], entries: dict) 
             if total > COUNT_MAX and overflow is None:
                 overflow = CountOverflowError(target, total)
             counts[target] = total
-    if overflow is not None:
-        raise overflow
-    return counts
+    raise overflow
 
 
 @dataclass(frozen=True)
@@ -213,12 +226,8 @@ def validate_morphism(morphism: NetMorphism) -> list[Violation]:
     Square failures are reported as ``square-fails`` with detail "pre" or
     "post" naming which side disagrees.
     """
-    out: list[Violation] = []
     src, tgt = morphism.source, morphism.target
-    for v in validate_net(src):
-        out.append(Violation(v.kind, v.subject, f"source net: {v.detail}".rstrip(": ")))
-    for v in validate_net(tgt):
-        out.append(Violation(v.kind, v.subject, f"target net: {v.detail}".rstrip(": ")))
+    out = _nested_violations("source", src) + _nested_violations("target", tgt)
     if out:
         return out
 

@@ -21,7 +21,7 @@ import random
 from .execution import Trace, _below, simulate
 from .external import ManaState
 from .internal import ManaPolicy
-from .multiset import EMPTY, Multiset, _wrap
+from .multiset import EMPTY, Multiset, _of_counts
 from .net import Net, NetMorphism, lift_multiset_map
 
 
@@ -34,7 +34,7 @@ def random_multiset(rng: random.Random, symbols, max_total: int) -> Multiset:
     for _ in range(_below(rng, max_total + 1)):
         symbol = symbols[_below(rng, len(symbols))]
         counts[symbol] = counts.get(symbol, 0) + 1
-    return _wrap(counts) if counts else EMPTY
+    return _of_counts(counts)
 
 
 def random_net(rng: random.Random, max_places: int = 5, max_transitions: int = 4,

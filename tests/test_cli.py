@@ -160,6 +160,18 @@ def test_externalize_rejects_policy_documents(capsys, abc_path):
     assert "mana block" in err
 
 
+def test_externalize_rejects_a_built_net_with_a_pool(capsys, tmp_path):
+    path = tmp_path / "built.json"
+    path.write_text(json.dumps({
+        "places": ["A", "mana:u"],
+        "transitions": {"u": {"pre": {"A": 1, "mana:u": 1}, "post": {}}},
+        "pool": {"u": 1},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "externalize", str(path))
+    assert (code, out) == (2, "")
+    assert err == "mananets: a built-net document must not carry a pool; its mana lives on places\n"
+
+
 def test_externalize_flags_unlabelled_nets(capsys, atp_path):
     code, _, err = run(capsys, "externalize", atp_path)
     assert code == 1
@@ -238,6 +250,15 @@ def test_negative_bound_is_usage_error(capsys, abc_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must not be negative" in captured.err
+
+
+def test_a_count_that_is_not_an_integer_is_usage_error(capsys, abc_path):
+    with pytest.raises(SystemExit) as err:
+        main(["run", abc_path, "--steps", "x"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --steps: invalid int value: 'x'\n")
 
 
 def test_zero_bounds_are_valid(capsys, abc_path):

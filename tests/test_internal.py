@@ -13,7 +13,7 @@ from mananets import (EMPTY, CountOverflowError, ManaPolicy, mana_place_name, Mu
                       compose_functors, comultiplication, counit,
                       functor_of_net_morphism, generalized_internal_construction,
                       identity_functor, internal_construction,
-                      iterated_construction, lift_functor,
+                      is_mana_place_name, iterated_construction, lift_functor,
                       occurrence_multiset, run_trace, validate_functor,
                       validate_policy)
 from mananets import functors, internal
@@ -335,6 +335,12 @@ def test_iterated_construction_freshens_names(abc_net):
     assert triple.mana_place_of == {"u": "outer-outer-mana:u"}
 
 
+def test_mana_place_names_carry_any_number_of_outer_prefixes():
+    assert [is_mana_place_name(name) for name in
+            ("mana:u", "outer-mana:u", "outer-outer-mana:u", "outer-u", "u", "outer-")] == [
+        True, True, True, False, False, False]
+
+
 def test_lift_identity_functor(abc_net):
     from mananets.functors import identity_functor, functors_equal
     mn = internal_construction(abc_net)
@@ -367,6 +373,32 @@ def test_lift_functor_empty_image(abc_net):
     )
     lifted = lift_functor(functor)
     assert lifted.object_map["mana:u"] == EMPTY
+
+
+def test_lift_functor_refuses_mana_nets_of_other_nets(abc_net, loop_net):
+    other = internal_construction(loop_net)
+    for smn, tmn in ((other, None), (None, other)):
+        with pytest.raises(ValueError, match="mana nets do not match the functor's boundary nets"):
+            lift_functor(identity_functor(abc_net), smn, tmn)
+
+
+def test_lift_functor_adds_mana_to_a_start_that_holds_it(abc_net):
+    # A hand-made target ManaNet whose mana place for v is the target's own
+    # place X, so the image's start already holds it: the two are added as
+    # Multisets are, overflow included.
+    target = Net.build(["X"], {"v": ({"X": 1}, {"X": 1})})
+    smn = internal_construction(abc_net)
+    tmn = internal.ManaNet(target, target, {"v": "X"}, ManaPolicy.plain(target))
+    objects = {"A": Multiset({"X": 1}), "B": EMPTY, "C": Multiset({"X": 1})}
+    functor = PresentedFunctor(abc_net, target, objects,
+                               {"u": Trace(target, Multiset({"X": 1}), ("v", "v"))})
+    lifted = lift_functor(functor, smn, tmn)
+    assert lifted.morphism_map["u"] == Trace(target, Multiset({"X": 3}), ("v", "v"))
+    assert lifted == reference_lift_functor(functor, smn, tmn)
+    full = PresentedFunctor(abc_net, target, objects,
+                            {"u": Trace(target, Multiset({"X": COUNT_MAX}), ("v",))})
+    assert raised(lambda: lift_functor(full, smn, tmn)) == (
+        CountOverflowError, str(CountOverflowError("X", COUNT_MAX + 1)))
 
 
 def test_comonad_laws_on_named_nets(atp_net, abc_net):

@@ -445,6 +445,20 @@ def test_ordered_explore_matches_reference(data):
     assert outcome(lambda: ordered(build(), root, depth, bound)) == reference
 
 
+def test_mana_nodes_sort_by_marking_then_pool():
+    """({a:1}|{v:1}) sorts before ({a:1,b:1}|{}): the markings decide, as
+    ``ManaState.sort_key`` does. One key over marking and pool together
+    would put the pool's v after the marking's b and flip the two."""
+    net = Net.build(["a", "b"], {"u": ({"b": 1}, {}), "v": ({}, {})})
+    policy = ManaPolicy.of(net, {"u": (0, {"v": 1}), "v": (1, EMPTY)})
+    root = ManaState(Multiset({"a": 1, "b": 1}), EMPTY)
+    nodes = mana_reach(net, policy, root, 3, 10).nodes
+    assert nodes == (ManaState(Multiset({"a": 1}), EMPTY),
+                     ManaState(Multiset({"a": 1}), Multiset({"v": 1})),
+                     ManaState(Multiset({"a": 1, "b": 1}), EMPTY))
+    assert nodes == ref_mana_reach(net, policy, root, 3, 10).nodes
+
+
 @pytest.mark.parametrize("pre", [{"a": 1}, {}], ids=["t0-needs-a", "t0-free"])
 def test_marking_on_a_mana_place_name_is_refused(pre):
     """A marking symbol named like a mana place would merge with that pool.

@@ -107,6 +107,23 @@ def test_non_int_count_rejected():
         Multiset({"a": True})
 
 
+def test_non_string_symbol_rejected():
+    with pytest.raises(TypeError, match="symbols must be strings, got 1"):
+        Multiset({1: 1})
+
+
+def test_operands_of_the_wrong_type_or_sign_are_refused():
+    # `+` and `*` answer NotImplemented for a foreign operand (a bool is not
+    # a scale factor), so Python raises TypeError; a negative factor is a
+    # ValueError.
+    with pytest.raises(TypeError):
+        Multiset() + 1
+    with pytest.raises(TypeError):
+        Multiset() * True
+    with pytest.raises(ValueError, match="scale factor must be >= 0, got -1"):
+        Multiset() * -1
+
+
 def test_sum_overflow_is_hard_error():
     big = Multiset({"a": COUNT_MAX})
     with pytest.raises(CountOverflowError):

@@ -5,8 +5,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, Multiset, Net,
-                      NetMorphism, UnknownSymbolError, compose_morphisms,
-                      Violation, lift_multiset_map, validate_morphism, validate_net)
+                      NetMorphism, PresentedFunctor, UnknownSymbolError, compose_morphisms,
+                      Violation, lift_multiset_map, validate_functor, validate_morphism,
+                      validate_net)
 from mananets.sampling import random_net, random_net_morphism
 
 
@@ -186,6 +187,22 @@ def test_a_malformed_net_is_reported_with_its_side_and_nothing_else():
     found = validate_morphism(NetMorphism(dangling, twice, {}, {}))
     assert found == [Violation("unknown-place", "Z", "source net: pre of u"),
                      Violation("duplicate-place", "A", "target net")]
+
+
+@pytest.mark.parametrize("check", [
+    lambda source, target: validate_morphism(NetMorphism(source, target, {}, {})),
+    lambda source, target: validate_functor(PresentedFunctor(source, target, {}, {})),
+], ids=["morphism", "functor"])
+@pytest.mark.parametrize("name", ["t:", "t "], ids=["colon", "space"])
+def test_a_nested_violation_keeps_its_whole_detail(check, name):
+    # The detail of a boundary net's violation is prefixed by its side and
+    # kept whole, so a transition name ending in ":" or " " survives; an
+    # empty detail leaves the side alone.
+    source = Net.build(["A", "A"], {name: ({"Z": 1}, {})})
+    assert check(source, Net.build(["A"], {})) == [
+        Violation("duplicate-place", "A", "source net"),
+        Violation("unknown-place", "Z", f"source net: pre of {name}"),
+    ]
 
 
 def test_unmapped_places_and_unknown_target_transitions():

@@ -120,7 +120,8 @@ MUTANTS = [
         "new": "        return [(s, labels[e], s)\n",
         "kill": ["tests/test_kernel.py::test_edges_are_counted_as_they_are_iterated",
                  "tests/test_kernel.py::test_a_faulty_built_net_is_judged_as_the_reference_judges_it"
-                 "[transition-renamed]"],
+                 "[transition-renamed]",
+                 "tests/test_equivalence.py::test_a_renumbered_graph_is_equal_as_sets"],
     },
     {
         "name": "kernel: a firing that fills the token room exactly is dropped",
@@ -256,8 +257,8 @@ MUTANTS = [
         "file": "src/mananets/execution.py",
         "old": "                _walk(net, markings[i], (v, u))\n",
         "new": "                _walk(net, markings[i], (v,))\n",
-        "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
-                 "tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[12]"],
+        "kill": ["tests/test_execution.py::test_an_illegal_swap_is_not_a_stepping_stone",
+                 "tests/test_execution.py::test_no_ordering_is_walked_again"],
     },
     {
         "name": "swap search: a swap tested from the marking after u, not before it",
@@ -265,6 +266,30 @@ MUTANTS = [
         "old": "                _walk(net, markings[i], (v, u))\n",
         "new": "                _walk(net, markings[i + 1], (v, u))\n",
         "kill": ["tests/test_execution.py::test_independent_steps_commute",
+                 "tests/test_execution.py::test_class_past_the_budget_raises"],
+    },
+    {
+        "name": "swap search: a new ordering keeps its parent's markings",
+        "file": "src/mananets/execution.py",
+        "old": "                moved[i + 1] = _walk(net, markings[i], (v,))\n",
+        "new": "",
+        "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
+                 "tests/test_execution.py::test_no_ordering_is_walked_again"],
+    },
+    {
+        "name": "swap search: the marking between the swapped pair is taken after u, not v",
+        "file": "src/mananets/execution.py",
+        "old": "                moved[i + 1] = _walk(net, markings[i], (v,))\n",
+        "new": "                moved[i + 1] = _walk(net, markings[i], (u,))\n",
+        "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
+                 "tests/test_execution.py::test_long_pairs_match_oracle[9-hole]"],
+    },
+    {
+        "name": "swap search: a new ordering overwrites its parent's markings in place",
+        "file": "src/mananets/execution.py",
+        "old": "                moved = markings.copy()\n",
+        "new": "                moved = markings\n",
+        "kill": ["tests/test_execution.py::test_equivalence_matches_oracle_on_random_traces[4]",
                  "tests/test_execution.py::test_class_past_the_budget_raises"],
     },
     # -- the compiled walk ----------------------------------------------------
@@ -291,6 +316,15 @@ MUTANTS = [
         "new": "moves[-1] if rng is None",
         "kill": ["tests/test_cli.py::test_golden_output[ring6-argv12]",
                  "tests/test_cli.py::test_golden_output[loop-argv13]"],
+    },
+    # -- multisets -----------------------------------------------------------
+    {
+        "name": "_of_counts wraps empty counts",
+        "file": "src/mananets/multiset.py",
+        "old": "    return _wrap(counts) if counts else EMPTY\n",
+        "new": "    return _wrap(counts)\n",
+        "kill": ["tests/test_net.py::test_lift_of_nothing_is_the_shared_empty",
+                 "tests/test_external.py::test_span_of_empty_trace"],
     },
     # -- the span fold ------------------------------------------------------
     {

@@ -222,10 +222,17 @@ def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
 
 
 def explored_window(game, root, depth, bound, lay_out=lambda state: state):
-    """Explore `game` from `root`: its graph, and its window of built-net states."""
+    """Explore `game` from `root`: its graph, and its window of built-net states.
+
+    The firings are read from the graph's flat arrays here, not through
+    ``VectorGraph.edges`` as ``equivalence._window`` reads them, so a
+    wrong ``edges`` cannot corrupt both windows alike."""
     graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
     states = [lay_out(game.state(v)) for v in graph.vectors(graph.nodes)]
-    return graph, (set(states), {(states[s], label, states[d]) for s, label, d in graph.edges})
+    first, labels, targets = graph.first, graph.labels, graph.targets
+    return graph, (set(states), {(states[s], labels[e], states[targets[e]])
+                                 for s in range(len(states))
+                                 for e in range(first[s], first[s + 1])})
 
 
 def two_window_report(net, policy, initial, depth, bound):
@@ -237,7 +244,7 @@ def two_window_report(net, policy, initial, depth, bound):
     internal, int_window = explored_window(TokenGame(mn.built, root), root, depth, bound)
     discrepancy = equivalence._first_discrepancy(ext_window, int_window)
     return EquivalenceReport(discrepancy is None, len(ext.nodes), len(internal.nodes),
-                             len(ext.edges), len(internal.edges), discrepancy)
+                             len(ext.targets), len(internal.targets), discrepancy)
 
 
 def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):

@@ -243,6 +243,46 @@ def test_class_past_the_budget_raises(ms, monkeypatch):
     assert trace_equivalent(t1, Trace(MUTEX, initial, ("x", "y"))) is False
 
 
+def test_an_illegal_swap_is_not_a_stepping_stone(ms):
+    # v fires before u from {A}, but u cannot fire after it. Were that swap
+    # taken, (v, u, w) would carry the markings of the pair as if both had
+    # fired, and its legal-looking swap of u and w would reach t2.
+    net = Net.build(["A", "B", "C"], {
+        "u": ({"A": 1}, {"A": 1, "B": 1}),
+        "v": ({"A": 1}, {"C": 1}),
+        "w": ({"C": 1}, {"A": 1}),
+    })
+    t1 = Trace(net, ms(A=1), ("u", "v", "w"))
+    t2 = Trace(net, ms(A=1), ("v", "w", "u"))
+    assert replays(t1) and replays(t2)
+    assert oracle_equivalent(t1, t2) is False
+    assert trace_equivalent(t1, t2) is False
+    assert trace_equivalent(t2, t1) is False
+
+
+def test_no_ordering_is_walked_again(ms, monkeypatch):
+    # The false pair of the budget test: its search visits all 30
+    # orderings of the class of t1.
+    initial = ms(L=1, A0=1, B0=1, X=1, Y=1)
+    t1 = Trace(MUTEX, initial, A_THEN_B + ("x", "y"))
+    t2 = Trace(MUTEX, initial, ("x", "y") + B_THEN_A)
+    walked = []
+    walk = execution._walk
+
+    def spy(net, counts, steps, markings=None):
+        walked.append(tuple(steps))
+        return walk(net, counts, steps, markings)
+
+    monkeypatch.setattr(execution, "_walk", spy)
+    assert trace_equivalent(t1, t2) is False
+    assert walked[:2] == [t1.steps, t2.steps]
+    # After the two validation walks, only a swap's pair or the one
+    # marking between it is walked: one one-step walk for each ordering
+    # of the class but t1.
+    assert sum(len(steps) == 1 for steps in walked[2:]) == 30 - 1
+    assert max(map(len, walked[2:])) <= 2
+
+
 @pytest.mark.parametrize("block", range(15))
 def test_equivalence_matches_oracle_on_random_traces(block):
     """Every reordering that replays of a random trace of up to 6 steps,
@@ -447,6 +487,20 @@ def test_identical_invalid_traces_still_raise_with_index(abc_net, ms):
     with pytest.raises(NotEnabledError) as err:
         trace_equivalent(t, t)
     assert err.value.index == 1
+
+
+def test_an_invalid_pair_raises_with_the_index_of_the_first_invalid_trace(pipeline_net, ms):
+    initial = ms(p1=1)
+    valid = Trace(pipeline_net, initial, ("t", "v", "u"))
+    u_too_early = Trace(pipeline_net, initial, ("t", "u", "v"))  # blocked at 1
+    u_first = Trace(pipeline_net, initial, ("u", "t", "v"))  # blocked at 0
+    for t1, t2, index in [(u_too_early, valid, 1), (valid, u_first, 0),
+                          (u_too_early, u_first, 1), (u_first, u_too_early, 0)]:
+        # Same occurrences, so only the walks tell the pair apart.
+        assert occurrence_multiset(t1) == occurrence_multiset(t2)
+        with pytest.raises(NotEnabledError) as err:
+            trace_equivalent(t1, t2)
+        assert (err.value.transition, err.value.index) == ("u", index)
 
 
 @st.composite

@@ -61,7 +61,9 @@ def test_span_monoid(c1, p1, c2, p2, c3, p3):
 
 
 def test_span_of_empty_trace(abc_net, plain):
-    assert span_of_trace(plain, Trace(abc_net, EMPTY)) == AffineSpan.identity()
+    span = span_of_trace(plain, Trace(abc_net, EMPTY))
+    assert span == AffineSpan.identity()
+    assert span.consume is EMPTY and span.produce is EMPTY
 
 
 def test_span_of_plain_trace_counts_occurrences(pipeline_net, ms):

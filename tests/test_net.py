@@ -61,6 +61,11 @@ def test_lift_accepts_multiset_images():
     assert lift_multiset_map(g, Multiset({"A": 1, "B": 3})) == Multiset({"P": 2})
 
 
+def test_lift_of_nothing_is_the_shared_empty():
+    assert lift_multiset_map({"A": "P"}, EMPTY) is EMPTY
+    assert lift_multiset_map({"A": Multiset()}, Multiset({"A": 2})) is EMPTY
+
+
 def test_lift_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         lift_multiset_map({"A": "P"}, Multiset({"B": 1}))

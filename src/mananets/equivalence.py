@@ -1,14 +1,13 @@
-"""Round trip between the two mana constructions and its operational check.
+"""Round trip between the two mana constructions and its check.
 
 Internalizing a policy builds the mana places into the net; putting the
 pool of a :class:`~mananets.external.ManaState` onto those places
 (:func:`state_to_object`) turns external states into built-net markings.
-:func:`check_equivalence` verifies that this translation is a
-label-preserving isomorphism between the two bounded reachability
-graphs: on generators, the two games' named steps, where they agree,
-and on the two explored windows where they do not. :func:`externalize`
-recovers the policy back from a built net, inverting :func:`internalize`
-exactly.
+:func:`check_equivalence` decides that this translation is a
+label-preserving isomorphism of the two token games by comparing their
+named steps, the generators of both free execution categories.
+:func:`externalize` recovers the policy back from a built net, inverting
+:func:`internalize` exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NameClashError, ShapeViolationError
-from .execution import TokenGame, VectorGraph, explore
+from .execution import TokenGame, explore
 from .external import ManaGame, ManaState
 from .internal import (ManaNet, ManaPolicy, generalized_internal_construction,
                        mana_place_name)
@@ -107,7 +106,7 @@ def _read_base_and_policy(built: Net, mana_place_of) -> tuple[Net, ManaPolicy]:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of comparing the external and internal reachability windows."""
+    """The generator verdict, the two windows' counts and, on a mismatch, a witness."""
 
     isomorphic: bool
     ext_nodes: int
@@ -129,22 +128,18 @@ class EquivalenceReport:
 
 def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
                       depth_bound: int, token_bound: int) -> EquivalenceReport:
-    """Compare mana reachability with plain reachability on the built net.
+    """Decide whether mana firing and plain firing on the built net agree.
 
-    Both windows have the same bounds, and the external one must
-    match the internal one through :func:`state_to_object`, node for node
-    and edge for edge (labels included). That map is fixed on generators
-    (a marking symbol to itself, pool ``t`` to the mana place of ``t``),
-    so it names each coordinate of the compiled mana game once, and the
-    two games' steps are compared by those names. The root is laid out
+    Each coordinate of the mana game is named by its built-net symbol (a
+    marking symbol stays itself, pool ``t`` becomes the mana place of
+    ``t``), and the two games' steps (label, needs, changes) are compared
+    by name. Execution categories are free, so that comparison decides
+    the isomorphism for every state and bound. The root is laid out
     first, so an error of :func:`state_to_object` comes before any
-    search; then the external game is explored in its own layout. When
-    each of its steps has the built net's label, ``pre`` and ``Δ`` by
-    name, the two games fire alike from one root, so the built net is
-    not explored: a coordinate that only one side has is touched by no
-    step and stays 0 in every state, and a window drops zero counts.
-    Otherwise it is, and the two windows are compared by
-    :func:`_first_discrepancy`.
+    search. The counts are those of each game's window from the root;
+    the built net is explored only on a mismatch. The witness is then
+    the least label whose step differs or that one game lacks, each
+    side's step given as ``{"needs", "changes"}`` by name, or None.
     """
     mn = internalize(net, policy)
     ext_game = ManaGame(net, policy, initial)
@@ -157,13 +152,14 @@ def check_equivalence(net: Net, policy: ManaPolicy, initial: ManaState,
     n, e = len(ext.nodes), len(ext.targets)
     # `names` has no repeats: the construction refuses a mana place name that
     # is taken, and state_to_object a marking symbol on a mana place.
-    if _generators(ext_game, names) == _generators(int_game, int_game.symbols):
+    ext_steps = _generators(ext_game, names)
+    int_steps = _generators(int_game, int_game.symbols)
+    if ext_steps == int_steps:
         return EquivalenceReport(True, n, n, e, e, None)
     internal = explore(int_game, int_game.vector(root),
                        depth_bound=depth_bound, token_bound=token_bound)
-    discrepancy = _first_discrepancy(_window(ext, names), _window(internal, int_game.symbols))
-    return EquivalenceReport(discrepancy is None, n, len(internal.nodes), e,
-                             len(internal.targets), discrepancy)
+    return EquivalenceReport(False, n, len(internal.nodes), e, len(internal.targets),
+                             _first_difference(ext_steps, int_steps))
 
 
 def _generators(game: TokenGame, names) -> list:
@@ -173,30 +169,11 @@ def _generators(game: TokenGame, names) -> list:
             for label, pre, delta, _ in game.steps]
 
 
-def _window(graph: VectorGraph, symbols) -> tuple[set, set]:
-    """The nodes of `graph`, coordinate ``r`` read as ``symbols[r]``, and its firings."""
-    nodes = [Multiset(zip(symbols, v)) for v in graph.vectors(graph.nodes)]
-    return set(nodes), {(nodes[s], label, nodes[d]) for s, label, d in graph.edges}
-
-
-def _first_discrepancy(ext: tuple[set, set], internal: tuple[set, set]) -> dict | None:
-    """The least node, else the least edge, found in one window only.
-
-    A window is the node set and the edge set of one side as built-net
-    states, each side read in its own coordinates by :func:`_window`, so
-    that a built net whose places are not the images of the mana game's
-    is still compared state by state. Only games that differ on
-    generators get here, so the plain comparison is enough.
-    """
-    (ext_nodes, ext_edges), (int_nodes, int_edges) = ext, internal
-    for side, extra in (("external-only", ext_nodes - int_nodes),
-                        ("internal-only", int_nodes - ext_nodes)):
-        if extra:
-            first = min(extra, key=Multiset.sort_key)
-            return {"kind": "node", "side": side, "value": first.as_dict()}
-    for side, extra in (("external-only", ext_edges - int_edges),
-                        ("internal-only", int_edges - ext_edges)):
-        if extra:
-            s, label, d = min(extra, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key()))
-            return {"kind": "edge", "side": side, "value": [s.as_dict(), label, d.as_dict()]}
-    return None
+def _first_difference(ext: list, internal: list) -> dict:
+    """The witness for the least label whose step differs or only one game has."""
+    ext, internal = ({label: {"needs": needs, "changes": changes}
+                      for label, needs, changes in steps} for steps in (ext, internal))
+    t = min(label for label in ext.keys() | internal.keys()
+            if ext.get(label) != internal.get(label))
+    return {"kind": "generator", "transition": t,
+            "external": ext.get(t), "internal": internal.get(t)}

@@ -25,9 +25,8 @@ both sides of :func:`~mananets.equivalence.check_equivalence` share one
 kernel, and :func:`simulate` and
 :func:`~mananets.external.mana_simulate` its :meth:`~TokenGame.walk`; a
 malformed arc raises when it is compiled, before any search or firing.
-That check names each coordinate of the mana game by its built-net
-symbol and compares the two games' steps by those names before it
-explores the built net at all.
+That check compares the two compiled games' steps, each coordinate
+named by its built-net symbol.
 
 :func:`explore` packs each state into one integer, one fixed-width field
 per coordinate with coordinate 0 most significant (SWAR, "SIMD within a
@@ -42,10 +41,8 @@ into flat arrays, one label and one target per firing and one offset per
 node (compressed sparse rows), so a firing makes no object of its own.
 :func:`order_nodes` sorts packed nodes by an integer key. Nodes are
 unpacked into count tuples, all at once by :meth:`VectorGraph.vectors`,
-only where they leave the kernel: in :meth:`TokenGame.reach`, in
-:func:`~mananets.documents.emit_graph_json` and, for a discrepancy, in
-the equivalence check, which explores the built net and compares the
-two windows only when the games differ on their steps.
+only where they leave the kernel: in :meth:`TokenGame.reach` and in
+:func:`~mananets.documents.emit_graph_json`.
 """
 
 from __future__ import annotations

@@ -217,18 +217,17 @@ def iterated_construction(mn: ManaNet) -> ManaNet:
     existing layer's names intact. ``mn.built`` is validated, since a
     caller may have put the :class:`ManaNet` together by hand.
     """
-    return _iterated(mn, check=True)
+    _check_net(mn.built)
+    return _iterated(mn)
 
 
-def _iterated(mn: ManaNet, check: bool = False) -> ManaNet:
+def _iterated(mn: ManaNet) -> ManaNet:
     # Unchecked, for a ManaNet that _construct has just built.
     built = mn.built
     taken = set(built.places) | set(built.transitions)
     prefix = MANA_PREFIX
     while any(prefix + t in taken for t in built.transitions):
         prefix = "outer-" + prefix
-    if check:
-        _check_net(built)
     return _construct(built, ManaPolicy.plain(built), prefix)
 
 

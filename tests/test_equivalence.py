@@ -10,7 +10,7 @@ from mananets import (EMPTY, EquivalenceReport, ManaNet, ManaPolicy, ManaState, 
                       state_to_object)
 from mananets import equivalence
 from mananets.documents import parse_json
-from mananets.execution import TokenGame, VectorGraph, explore
+from mananets.execution import TokenGame, explore
 from mananets.external import ManaGame
 from mananets.sampling import random_net, random_policy, random_state
 
@@ -187,20 +187,24 @@ def test_check_equivalence_catches_a_faulty_construction(monkeypatch, loop_net, 
     report = check_equivalence(loop_net, loop_policy,
                                ManaState(ms(p1=3), ms(u2=2, u3=1, u4=1)), 12, 20)
     assert report.to_json_dict()["isomorphic"] is False
+    needs = {"p4": 1, "mana:u4": 1}
     assert report.first_discrepancy == {
-        "kind": "node", "side": "external-only",
-        "value": {"mana:u2": 1, "mana:u3": 2, "mana:u4": 1, "p1": 1, "p2": 1}}
+        "kind": "generator", "transition": "u4",
+        "external": {"needs": needs,
+                     "changes": {"p4": -1, "mana:u2": 1, "mana:u3": 1, "mana:u4": -1}},
+        "internal": {"needs": needs, "changes": {"p4": -1, "mana:u2": 1, "mana:u4": -1}}}
 
 
-def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
-    """A catalyst built to need two units of its mana, and to give both back.
+CATALYST = Net.build(["A"], {"u": ({"A": 1}, {"A": 1}), "v": ({"A": 1}, {"A": 1})})
+CATALYST_POLICY = ManaPolicy.of(CATALYST, {"u": (1, {"u": 1}), "v": (1, {})})
+#: The witness of the catalyst built to need two units of its mana.
+HELD_TWICE = {"kind": "generator", "transition": "u",
+              "external": {"needs": {"A": 1, "mana:u": 1}, "changes": {}},
+              "internal": {"needs": {"A": 1, "mana:u": 2}, "changes": {}}}
 
-    Both sides find the same nodes in the same order, since the catalyst
-    loops back to where it starts; only its firings differ, so the
-    discrepancy is an edge.
-    """
-    net = Net.build(["A"], {"u": ({"A": 1}, {"A": 1}), "v": ({"A": 1}, {"A": 1})})
-    policy = ManaPolicy.of(net, {"u": (1, {"u": 1}), "v": (1, {})})
+
+def held_twice(monkeypatch):
+    """Build u to need two units of its mana, and to give both back."""
     sound = equivalence.internalize
 
     def faulty(net, policy):
@@ -212,21 +216,44 @@ def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
         return ManaNet(mn.base, built, mn.mana_place_of, mn.policy)
 
     monkeypatch.setattr(equivalence, "internalize", faulty)
-    report = check_equivalence(net, policy, ManaState(ms(A=1), ms(u=1, v=1)), 4, 10)
+
+
+def test_check_equivalence_catches_a_faulty_firing(monkeypatch, ms):
+    """A catalyst built to need two units of its mana, and to give both back.
+
+    Both sides find the same nodes, since the catalyst loops back to
+    where it starts; only its firings differ.
+    """
+    held_twice(monkeypatch)
+    report = check_equivalence(CATALYST, CATALYST_POLICY, ManaState(ms(A=1), ms(u=1, v=1)),
+                               4, 10)
     assert not report.isomorphic
     assert (report.ext_nodes, report.int_nodes, report.ext_edges, report.int_edges) == \
         (2, 2, 3, 1)
-    assert report.first_discrepancy == {
-        "kind": "edge", "side": "external-only",
-        "value": [{"A": 1, "mana:u": 1}, "u", {"A": 1, "mana:u": 1}]}
+    assert report.first_discrepancy == HELD_TWICE
+
+
+#: (ext_nodes, int_nodes, ext_edges, int_edges) of each window.
+@pytest.mark.parametrize("pool, depth, counts", [
+    # Depth 0: neither window has a firing.
+    ({"u": 1, "v": 1}, 0, (1, 1, 0, 0)),
+    # Two units of u's mana: the faulty u fires wherever the sound one does.
+    ({"u": 2, "v": 1}, 4, (2, 2, 3, 3)),
+], ids=["depth-0", "two-units-of-mana"])
+def test_a_mismatch_the_window_does_not_reach_is_not_isomorphic(monkeypatch, ms, pool,
+                                                                depth, counts):
+    """Equal windows do not make a faulty construction sound: the steps decide."""
+    held_twice(monkeypatch)
+    report = check_equivalence(CATALYST, CATALYST_POLICY, ManaState(ms(A=1), ms(**pool)),
+                               depth, 10)
+    assert report == EquivalenceReport(False, *counts, HELD_TWICE)
 
 
 def explored_window(game, root, depth, bound, lay_out=lambda state: state):
     """Explore `game` from `root`: its graph, and its window of built-net states.
 
-    The firings are read from the graph's flat arrays here, not through
-    ``VectorGraph.edges`` as ``equivalence._window`` reads them, so a
-    wrong ``edges`` cannot corrupt both windows alike."""
+    The firings are read from the graph's flat arrays, so the window does
+    not rest on ``VectorGraph.edges``."""
     graph = explore(game, game.vector(root), depth_bound=depth, token_bound=bound)
     states = [lay_out(game.state(v)) for v in graph.vectors(graph.nodes)]
     first, labels, targets = graph.first, graph.labels, graph.targets
@@ -242,37 +269,8 @@ def two_window_report(net, policy, initial, depth, bound):
     ext, ext_window = explored_window(ManaGame(net, policy, initial), initial, depth, bound,
                                       lambda state: state_to_object(mn, state))
     internal, int_window = explored_window(TokenGame(mn.built, root), root, depth, bound)
-    discrepancy = equivalence._first_discrepancy(ext_window, int_window)
-    return EquivalenceReport(discrepancy is None, len(ext.nodes), len(internal.nodes),
-                             len(ext.targets), len(internal.targets), discrepancy)
-
-
-def test_a_renumbered_graph_is_equal_as_sets(loop_net, loop_policy, ms):
-    """Discovery order is not part of the verdict: the window comparison decides."""
-    initial = ManaState(ms(p1=2), ms(u2=2, u3=1, u4=1))
-    mn = internalize(loop_net, loop_policy)
-    root = state_to_object(mn, initial)
-    game = TokenGame(mn.built, root)
-    _, ext_window = explored_window(ManaGame(loop_net, loop_policy, initial), initial, 8, 14,
-                                    lambda state: state_to_object(mn, state))
-    internal = explore(game, game.vector(root), depth_bound=8, token_bound=14)
-    count = len(internal.nodes)
-    assert count > 2
-    new = [0] + list(range(count - 1, 0, -1))  # the root stays first
-    old = sorted(range(count), key=new.__getitem__)  # old position of each new one
-    first, labels, targets = [], [], []
-    for s in old:
-        first.append(len(targets))
-        for e in range(internal.first[s], internal.first[s + 1]):
-            labels.append(internal.labels[e])
-            targets.append(new[internal.targets[e]])
-    first.append(len(targets))
-    renumbered = VectorGraph([internal.nodes[s] for s in old], first, labels, targets,
-                             internal.truncated, internal.width, len(game.symbols))
-    assert renumbered.nodes != internal.nodes
-    window = equivalence._window(renumbered, game.symbols)
-    assert equivalence._first_discrepancy(ext_window, window) is None
-    assert equivalence._first_discrepancy(window, ext_window) is None
+    return EquivalenceReport(ext_window == int_window, len(ext.nodes), len(internal.nodes),
+                             len(ext.targets), len(internal.targets), None)
 
 
 def assert_decided_on_generators(monkeypatch, net, policy, initial, depth, bound):

@@ -4,12 +4,14 @@
 compiled kernel, so the two sides of the equivalence check no longer
 come from independent code. The reference below is the breadth-first
 closure over ``Multiset`` values that the kernel replaced; every
-property requires the kernel to agree with it exactly: nodes, edges in
-order, truncation, report fields, and the type and message of any
-error.
+property on a sound construction requires the kernel to agree with it
+exactly: nodes, edges in order, truncation, report fields, and the type
+and message of any error. On a faulty construction the check decides on
+generators, and is held to a generator reference and to the windows.
 """
 
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 from mananets import (COUNT_MAX, EMPTY, CountOverflowError, EquivalenceReport,
                       ManaNet, ManaPolicy, ManaState, Multiset, NameClashError, Net,
                       UnknownSymbolError, check_equivalence, graph_to_json_dict,
-                      internalize, mana_reach, reach, state_to_object)
+                      internalize, mana_reach, object_to_state, reach, state_to_object)
 from mananets import equivalence
 from mananets.documents import emit_graph_json
 from mananets.execution import ReachGraph, TokenGame, explore, order_nodes
 from mananets.external import ManaGame, mana_enabled, mana_fire, span_of_transition
+from mananets.internal import mana_place_name
 from mananets.net import lift_multiset_map
+from mananets.sampling import random_net, random_policy, random_state
 
 # -- the reference -------------------------------------------------------------
 
@@ -239,8 +243,10 @@ def test_check_equivalence_matches_reference(data):
 #
 # Each fault rebuilds the built net of a sound ManaNet around transition
 # `t` and, where it needs a second one, `w` (which may be `t`). The check
-# and its reference must still agree on the verdict, the counts and the
-# first discrepancy.
+# decides on generators, and the window reference above sees a fault only
+# once its window reaches it. So the two must raise alike and count alike,
+# windows that differ must make the check fail, and each witness the check
+# gives must lead the reference to a discrepancy within one step.
 
 
 def rebuilt(mn, places=None, pre=None, post=None):
@@ -346,38 +352,118 @@ def any_cases(draw):
     return (net, draw(policies(net)), initial, *draw(bounds))
 
 
+def ref_steps(net, policy, built):
+    """Each transition's needs and change by built-net name, from Multiset values.
+
+    The external step of ``t`` needs ``pre(t)`` plus ``consume(t)`` units
+    of ``mana:t`` and gives ``post(t)`` plus ``produce(t)`` laid out on the
+    mana places; the built net's step is its own ``pre`` and ``post``.
+    """
+    mana = {t: mana_place_name(t) for t in net.transitions}
+
+    def step(needs, gives):
+        change = {s: gives[s] - needs[s] for s in {*needs.support(), *gives.support()}}
+        return needs, {s: d for s, d in change.items() if d}
+
+    ext = {t: step(net.pre[t] + Multiset({mana[t]: policy.consume[t]}),
+                   net.post[t] + lift_multiset_map(mana, policy.produce[t]))
+           for t in net.transitions}
+    return ext, {t: step(built.pre[t], built.post[t]) for t in built.transitions}
+
+
+def witness_state(witness):
+    """A built-net marking from which the witness's step fires on one side only,
+    or on both to different markings, and the largest growth of either step."""
+    sides = [side for side in (witness["external"], witness["internal"]) if side]
+    needs = [Multiset(side["needs"]) for side in sides]
+    # The needs of a side whose needs do not cover the other side's: the
+    # other side cannot fire there. Equal needs are both sides' needs.
+    state = next((mine for mine, theirs in zip(needs, reversed(needs))
+                  if not theirs <= mine), needs[0])
+    return state, max(0, *(sum(side["changes"].values()) for side in sides))
+
+
+def assert_judged_as_the_reference(case):
+    """Run inside a faulty construction: the check against the window reference."""
+    net, policy, initial, depth, bound = case
+    report = outcome(check_equivalence, *case)
+    reference = outcome(ref_check_equivalence, *case)
+    if not isinstance(report, EquivalenceReport) or not isinstance(reference,
+                                                                   EquivalenceReport):
+        assert report == reference
+        return report
+    assert (report.ext_nodes, report.int_nodes, report.ext_edges, report.int_edges) == \
+        (reference.ext_nodes, reference.int_nodes, reference.ext_edges, reference.int_edges)
+    # Windows that differ make the check fail; a sound verdict has equal windows.
+    assert reference.isomorphic or not report.isomorphic
+    if not report.isomorphic:
+        state, growth = witness_state(report.first_discrepancy)
+        mn = internalize(net, policy)
+        near = outcome(ref_check_equivalence, net, policy, object_to_state(mn, state), 1,
+                       state.total() + growth)
+        # From a state near the count bound another step may overflow before
+        # the windows are compared; nothing else may stop them.
+        if isinstance(near, EquivalenceReport):
+            assert not near.isomorphic, report.first_discrepancy
+        else:
+            assert near[1] is CountOverflowError
+            assert max(state._entries.values(), default=0) > COUNT_MAX // 2
+    return report
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @settings(SETTINGS, max_examples=50)
 @given(st.one_of(small_cases(), any_cases()), st.data())
 def test_check_equivalence_matches_reference_on_a_faulty_construction(fault, case, data):
-    net, policy, initial, depth, bound = case
-    t, w = (data.draw(st.sampled_from(net.transitions)) for _ in range(2))
+    t, w = (data.draw(st.sampled_from(case[0].transitions)) for _ in range(2))
     with faulty(FAULTS[fault], t, w):
-        assert outcome(check_equivalence, *case) == outcome(ref_check_equivalence, *case)
+        assert_judged_as_the_reference(case)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_the_verdict_is_the_generator_reference_at_every_depth(fault):
+    """Depth 0 explores no firing, and the verdict is still the steps'."""
+    rng = random.Random(fault)
+    for _ in range(40):
+        net = random_net(rng, max_places=4, max_transitions=3)
+        if not net.transitions:
+            continue
+        policy = random_policy(rng, net, max_consume=2, max_produce_total=2)
+        initial = random_state(rng, net)
+        t, w = rng.choice(net.transitions), rng.choice(net.transitions)
+        with faulty(FAULTS[fault], t, w):
+            ext, internal = ref_steps(net, policy, internalize(net, policy).built)
+            for depth in (0, rng.randint(1, 4)):
+                case = (net, policy, initial, depth, 12)
+                report = assert_judged_as_the_reference(case)
+                assert report.isomorphic == (ext == internal)
 
 
 TWO_WAY = Net.build(["A", "B"], {"u": ({"A": 1}, {"B": 1}), "v": ({"B": 1}, {"A": 1})})
 
 
-@pytest.mark.parametrize("fault, isomorphic", [
+#: Each fault, and the transition its witness names (None: the games agree).
+@pytest.mark.parametrize("fault, transition", [
     # A place outside the mana game, which sorts after every other one
     # or before: each side must be read in its own coordinates.
-    (extra_post_place("zextra"), False),
-    (extra_post_place("0extra"), False),
-    # Steps equal coordinate by coordinate; only the names differ.
-    (renamed("B", "B'"), False),
-    (renamed("u", "u'"), False),
+    (extra_post_place("zextra"), "u"),
+    (extra_post_place("0extra"), "u"),
+    # Steps equal coordinate by coordinate; only the names differ. Both
+    # steps touch B', and the witness is the lesser.
+    (renamed("B", "B'"), "u"),
+    # u sorts before u', which only the built net has.
+    (renamed("u", "u'"), "u"),
     # A place no arc touches: the coordinates differ, the windows do not.
-    (lambda mn, t, w: rebuilt(mn, places=mn.built.places + ("zextra",)), True),
+    (lambda mn, t, w: rebuilt(mn, places=mn.built.places + ("zextra",)), None),
 ], ids=["extra-place-last", "extra-place-first", "place-renamed", "transition-renamed",
         "isolated-place-last"])
-def test_a_faulty_built_net_is_judged_as_the_reference_judges_it(fault, isomorphic):
+def test_a_faulty_built_net_is_judged_as_the_reference_judges_it(fault, transition):
     policy = ManaPolicy.plain(TWO_WAY)
     initial = ManaState(Multiset({"A": 1}), Multiset({"u": 1, "v": 1}))
     with faulty(fault, "u", "v"):
-        report = check_equivalence(TWO_WAY, policy, initial, 4, 10)
-        assert report == ref_check_equivalence(TWO_WAY, policy, initial, 4, 10)
-    assert report.isomorphic is isomorphic
+        report = assert_judged_as_the_reference((TWO_WAY, policy, initial, 4, 10))
+    assert report.isomorphic is (transition is None)
+    assert (report.first_discrepancy or {}).get("transition") == transition
 
 
 def test_a_built_net_with_other_coordinates_is_decided_on_generators(monkeypatch):
